@@ -41,7 +41,6 @@ from repro.analysis.cache import (
 from repro.analysis.batch import BatchReport, GraphResult, analyse_graph, run_batch
 from repro.analysis.deadline import CancelToken, Deadline
 from repro.analysis.faults import FaultPlan, FaultRule, parse_fault
-from repro.analysis.journal import BatchJournal, JournalRecord
 from repro.analysis.resilience import (
     AnalysisOutcome,
     AnalysisPolicy,
@@ -63,8 +62,6 @@ __all__ = [
     "FaultPlan",
     "FaultRule",
     "parse_fault",
-    "BatchJournal",
-    "JournalRecord",
     "AnalysisOutcome",
     "AnalysisPolicy",
     "StageAttempt",

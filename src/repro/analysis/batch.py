@@ -13,8 +13,9 @@ that through a selectable backend:
 
 ``process``
     A ``ProcessPoolExecutor``: true multi-core for fleets of distinct
-    heavy graphs.  Graphs are pickled to the workers; results are stored
-    into the local cache on return, so a later warm pass is O(1).
+    heavy graphs.  Graphs are pickled to the workers; results are
+    adopted into the local memory cache on return, so a later warm pass
+    is O(1).
 
 ``serial``
     A plain loop with the same result/reporting shape (baseline and
@@ -36,10 +37,10 @@ Resilience guarantees (all backends unless noted):
   re-dispatched one-per-fresh-pool, and the graph that reproducibly
   kills its worker is *quarantined* (``error_type == "WorkerCrashed"``)
   while everything else completes.
-* **Journal / resume** — with ``journal=`` every finished graph is
-  appended (flushed + fsynced) to a fingerprint-keyed JSONL file;
-  ``resume=True`` skips every fingerprint the journal already records
-  as completed, so a killed sweep restarts where it stopped.
+* **Resume** — with a durable :class:`~repro.analysis.store.ResultStore`
+  (``store=``) every computed result is published as soon as it
+  exists, so a killed sweep re-run against the same store serves every
+  finished analysis from disk and computes only the rest.
 * **Fault injection** — a :class:`repro.analysis.faults.FaultPlan`
   deterministically plants delays/exceptions/worker-kills, which is how
   the recovery paths above are exercised in CI.
@@ -50,14 +51,13 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.cache import AnalysisCache, CacheStats, default_cache
 from repro.analysis.deadline import CancelToken, Deadline
 from repro.analysis.faults import FaultPlan
-from repro.analysis.journal import BatchJournal, JournalRecord, summarise_value
 from repro.errors import TransientWorkerError
 from repro.obs.metrics import MetricsRegistry, default_registry, set_default_registry
 from repro.obs.trace import Tracer, current_tracer, span
@@ -92,9 +92,6 @@ class GraphResult:
     attempts: int = 1
     #: The graph reproducibly killed its worker process and was isolated.
     quarantined: bool = False
-    #: The result was replayed from a journal, not analysed in this run
-    #: (``values`` then holds the journal's JSON summaries).
-    resumed: bool = False
     #: Id of the ``analyse`` span covering this graph (tracing enabled).
     span_id: Optional[str] = None
     #: Span dicts exported by a process-backend worker's private tracer;
@@ -130,7 +127,6 @@ class BatchReport:
     workers: int
     duration: float
     cache_stats: CacheStats
-    journal_path: Optional[str] = None
     #: ``repro-metrics-v1`` snapshot of the process-wide registry taken
     #: after the run (worker registries already merged in).
     metrics: Optional[Dict[str, Any]] = None
@@ -152,10 +148,6 @@ class BatchReport:
         return [r for r in self.results if r.timed_out]
 
     @property
-    def resumed(self) -> List[GraphResult]:
-        return [r for r in self.results if r.resumed]
-
-    @property
     def hit_rate(self) -> float:
         return self.cache_stats.hit_rate
 
@@ -163,8 +155,6 @@ class BatchReport:
         extras = ""
         if self.quarantined:
             extras += f", {len(self.quarantined)} quarantined"
-        if self.resumed:
-            extras += f", {len(self.resumed)} resumed"
         return (
             f"BatchReport({len(self.ok)} ok, {len(self.failures)} failed{extras}, "
             f"backend={self.backend!r}, workers={self.workers}, "
@@ -375,36 +365,6 @@ def _store_back(
         cache.store(graph, analysis, value, params=params)
 
 
-def _journal_record(journal: Optional[BatchJournal], result: GraphResult) -> None:
-    if journal is None or result.resumed:
-        return
-    journal.record(JournalRecord(
-        name=result.name,
-        fingerprint=result.fingerprint,
-        ok=result.ok,
-        values={
-            analysis: summarise_value(analysis, value)
-            for analysis, value in result.values.items()
-        },
-        error=result.error,
-        error_type=result.error_type,
-        duration=result.duration,
-        quarantined=result.quarantined,
-        attempts=result.attempts,
-    ))
-
-
-def _resumed_result(graph: SDFGraph, record: JournalRecord) -> GraphResult:
-    return GraphResult(
-        name=graph.name,
-        fingerprint=record.fingerprint,
-        values=dict(record.values),
-        duration=0.0,
-        attempts=record.attempts,
-        resumed=True,
-    )
-
-
 def run_batch(
     graphs: Iterable[SDFGraph],
     analyses: Sequence[str] = ("throughput",),
@@ -417,8 +377,6 @@ def run_batch(
     retries: int = 0,
     backoff: float = 0.05,
     faults: Optional[FaultPlan] = None,
-    journal: Optional[Union[str, Path]] = None,
-    resume: bool = False,
     token: Optional[CancelToken] = None,
     kernel: str = "auto",
     store: Optional[Union[str, Path, "ResultStore"]] = None,
@@ -429,7 +387,10 @@ def run_batch(
     ``cache_stats`` in the returned report is a snapshot *after* the run
     of the cache that served it (the shared default cache unless one is
     passed), so ``report.hit_rate`` reflects the whole cache lifetime;
-    compare snapshots around the call for per-run rates.
+    compare snapshots around the call for per-run rates.  On the process
+    backend the counts of the workers' private caches for this run are
+    folded in, so every lookup, disk probe and publish of the batch is
+    counted exactly once.
 
     ``lint`` (``None``, ``"error"`` or ``"warning"``) arms the
     pre-analysis lint gate per graph: a gated graph fails fast with
@@ -437,19 +398,22 @@ def run_batch(
     the rest of the batch proceeds normally.
 
     See :func:`analyse_graph` for ``timeout``/``retries``/``backoff``/
-    ``faults`` and the module docstring for the journal/resume and
-    worker-crash-recovery contracts.  ``token`` cancels the whole batch
-    cooperatively (thread/serial backends; already-dispatched process
-    workers run their current graph to completion).
+    ``faults`` and the module docstring for the worker-crash-recovery
+    contract.  ``token`` cancels the whole batch cooperatively
+    (thread/serial backends; already-dispatched process workers run
+    their current graph to completion).
 
     ``store`` (a :class:`repro.analysis.store.ResultStore` or a root
-    path) attaches the durable disk tier to the batch cache *and* to
-    every process-backend worker's private cache — so a re-run of the
-    same suite in a fresh process serves from disk instead of
-    recomputing, even without a journal.  Results are published to the
-    store before the journal records their graph as completed, so the
-    journal is always a subset of the store (``repro cache verify
-    --journal`` checks exactly that after a crash).
+    path) attaches the durable disk tier to the batch cache for this
+    run; without it, a store already attached to ``cache`` is used.
+    On the process backend the workers open their own store on the
+    same root instead.  Every computed result is published once, by
+    whoever computed it, and that is how a killed sweep resumes: re-run it against the same
+    store, and every analysis with a valid record is served from disk
+    as the same typed result a fresh computation returns (provenance
+    certificate included), while the rest is computed and published.
+    Records are keyed by content fingerprint, so the re-run may
+    reorder, rename or extend the graph list.
     """
     graphs = list(graphs)
     analyses = _check_analyses(analyses)
@@ -465,82 +429,54 @@ def run_batch(
         raise ValueError(
             f"unknown kernel {kernel!r}; expected one of {', '.join(KERNELS)}"
         )
-    if resume and journal is None:
-        raise ValueError("resume=True requires a journal path")
     if cache is None:
         cache = default_cache()
 
-    store_root: Optional[str] = None
     previous_store = cache.disk_store
-    if store is not None:
+    if store is None:
+        store = previous_store
+    else:
         from repro.analysis.store import ResultStore
 
         if not isinstance(store, ResultStore):
             store = ResultStore(store)
-        store_root = str(store.root)
-        # The parent cache serves warm lookups and adopts every worker
-        # result, so attaching the store here is what makes results
-        # durable across runs: store() publishes before the journal
-        # records a graph as done (journal ⊆ store, asserted by
-        # ``repro cache verify --journal``).  The previous tier is
-        # restored on exit so a shared cache (the CLI's process-global
-        # one) does not keep publishing to this run's root afterwards.
-        cache.attach_store(store)
-
-    journal_store = BatchJournal(journal) if journal is not None else None
-    completed: Dict[str, JournalRecord] = {}
-    if resume:
-        completed = {
-            fp: rec for fp, rec in journal_store.load().items() if rec.ok
-        }
+    store_root = None if store is None else str(store.root)
+    # On the process backend the workers own the disk tier: each probes
+    # and publishes through its own store on the same root, and the
+    # parent adopts their results into memory only, so no result is
+    # written or counted twice.  The previous tier is restored on exit
+    # so a shared cache (the CLI's process-global one) does not keep
+    # publishing to this run's root afterwards.
+    cache.attach_store(None if backend == "process" else store)
 
     def analyse(graph: SDFGraph) -> GraphResult:
-        result = analyse_graph(
+        return analyse_graph(
             graph, analyses, method, cache, lint,
             timeout=timeout, faults=faults, retries=retries, backoff=backoff,
             token=token, kernel=kernel,
         )
-        _journal_record(journal_store, result)
-        return result
 
+    worker_counts: Dict[str, int] = {}
     start = time.perf_counter()
     try:
         with span("batch", graphs=len(graphs), backend=backend,
                   workers=workers, analyses=",".join(analyses)):
-            # Replay journaled successes first; only the rest is analysed.
-            results: List[Optional[GraphResult]] = [None] * len(graphs)
-            todo: List[Tuple[int, SDFGraph]] = []
-            for index, graph in enumerate(graphs):
-                record = completed.get(graph.fingerprint())
-                if record is not None:
-                    results[index] = _resumed_result(graph, record)
-                else:
-                    todo.append((index, graph))
-
-            if backend == "serial" or not todo:
-                for index, graph in todo:
-                    results[index] = analyse(graph)
+            if backend == "serial":
+                results = [analyse(graph) for graph in graphs]
             elif backend == "thread":
                 with ThreadPoolExecutor(max_workers=workers) as pool:
-                    for (index, _), result in zip(
-                        todo, pool.map(lambda item: analyse(item[1]), todo)
-                    ):
-                        results[index] = result
+                    results = list(pool.map(analyse, graphs))
             elif backend == "process":
-                _run_process_backend(
-                    todo, results, analyses, method, kernel, lint, timeout,
-                    faults, retries, backoff, workers, cache, journal_store,
-                    store_root,
+                results, worker_counts = _run_process_backend(
+                    graphs, analyses, method, kernel, lint, timeout,
+                    faults, retries, backoff, workers, cache, store_root,
                 )
             else:
                 raise ValueError(
                     f"unknown backend {backend!r}; use thread, process or serial"
                 )
     finally:
-        if store is not None:
-            cache.attach_store(previous_store)
-        if journal_store is not None:
-            journal_store.close()
+        cache.attach_store(previous_store)
     duration = time.perf_counter() - start
 
     registry = default_registry()
@@ -553,20 +489,22 @@ def run_batch(
         outcomes.labels(status=_result_status(result)).inc()
     cache.register_metrics(registry)
 
+    stats = cache.stats()
+    cache_stats = replace(stats, **{
+        field: getattr(stats, field) + count
+        for field, count in worker_counts.items()
+    })
     return BatchReport(
         results=results,
         backend=backend,
         workers=workers,
         duration=duration,
-        cache_stats=cache.stats(),
-        journal_path=None if journal is None else str(journal),
+        cache_stats=cache_stats,
         metrics=registry.as_dict(),
     )
 
 
 def _result_status(result: GraphResult) -> str:
-    if result.resumed:
-        return "resumed"
     if result.quarantined:
         return "quarantined"
     if result.timed_out:
@@ -575,8 +513,7 @@ def _result_status(result: GraphResult) -> str:
 
 
 def _run_process_backend(
-    todo: List[Tuple[int, SDFGraph]],
-    results: List[Optional[GraphResult]],
+    graphs: List[SDFGraph],
     analyses: Tuple[str, ...],
     method: str,
     kernel: str,
@@ -587,9 +524,8 @@ def _run_process_backend(
     backoff: float,
     workers: int,
     cache: AnalysisCache,
-    journal_store: Optional[BatchJournal],
-    store_root: Optional[str] = None,
-) -> None:
+    store_root: Optional[str],
+) -> Tuple[List[GraphResult], Dict[str, int]]:
     """Dispatch cold graphs to a process pool; survive worker deaths.
 
     Graphs fully warm in the local cache are served in-process.  When a
@@ -598,8 +534,13 @@ def _run_process_backend(
     complete there, and a graph that kills its private pool too is
     definitively the poison one — it is quarantined with
     ``error_type == "WorkerCrashed"`` and the batch carries on.
+
+    Returns the results in input order and the summed
+    :class:`CacheStats` counters of the workers' private caches.
     """
 
+    results: List[Optional[GraphResult]] = [None] * len(graphs)
+    worker_counts = dict.fromkeys(CacheStats.COUNTERS, 0)
     trace_workers = current_tracer() is not None
 
     def payload(graph: SDFGraph) -> _ColdPayload:
@@ -621,28 +562,29 @@ def _run_process_backend(
                 epoch=outcome.trace_epoch,
             )
         if outcome.metrics is not None:
+            for field, count in CacheStats.exported(outcome.metrics).items():
+                worker_counts[field] += count
             default_registry().merge(outcome.metrics)
             outcome.metrics = None  # folded in; don't double-merge
         results[index] = outcome
-        _journal_record(journal_store, outcome)
 
     # Serve what the local cache already has; farm the rest out.
     cold: List[Tuple[int, SDFGraph]] = []
-    for index, graph in todo:
+    for index, graph in enumerate(graphs):
         if all(
             cache.key(graph, a, {"method": method} if a == "throughput" else None)
             in cache
             for a in analyses
         ):
-            adopt(index, graph, analyse_graph(
+            results[index] = analyse_graph(
                 graph, analyses, method, cache, lint,
                 timeout=timeout, faults=faults, retries=retries, backoff=backoff,
                 kernel=kernel,
-            ))
+            )
         else:
             cold.append((index, graph))
     if not cold:
-        return
+        return results, worker_counts
 
     lost: List[Tuple[int, SDFGraph]] = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -678,3 +620,4 @@ def _run_process_backend(
                 quarantined=True,
             )
         adopt(index, graph, outcome)
+    return results, worker_counts

@@ -43,7 +43,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, Optional, Tuple
+from typing import Any, Callable, ClassVar, Dict, Hashable, Optional, Tuple
 
 from repro.obs.trace import add_event
 from repro.sdf.graph import SDFGraph
@@ -89,6 +89,26 @@ class CacheStats:
     disk_puts: int = 0
     size: int = 0
     maxsize: int = 0
+
+    #: The cumulative counters (every field but the size gauges); each
+    #: is exported as ``repro_cache_<name>_total``.
+    COUNTERS: ClassVar[Tuple[str, ...]] = (
+        "hits", "misses", "evictions", "coalesced", "errors",
+        "disk_hits", "disk_misses", "disk_quarantined", "disk_errors",
+        "disk_puts",
+    )
+
+    @classmethod
+    def exported(cls, snapshot: Dict[str, Any]) -> Dict[str, int]:
+        """The counters a cache exported into a ``repro-metrics-v1``
+        snapshot (:meth:`AnalysisCache.register_metrics`), by field."""
+        samples = {entry["name"]: entry["samples"]
+                   for entry in snapshot["metrics"]}
+        return {
+            field: int(sum(sample["value"] for sample in
+                           samples.get(f"repro_cache_{field}_total", ())))
+            for field in cls.COUNTERS
+        }
 
     @property
     def lookups(self) -> int:
@@ -238,8 +258,7 @@ class AnalysisCache:
     ) -> Any:
         """Insert a result computed elsewhere (e.g. by a worker process).
 
-        With a disk tier attached the result is also published durably,
-        so worker-computed results survive the parent process.
+        With a disk tier attached the result is also published durably.
         """
         key = self.key(graph, analysis, params)
         with self._lock:
@@ -476,9 +495,7 @@ class AnalysisCache:
                 return
             self._metrics_registries.add(id(registry))
 
-        fields = ("hits", "misses", "evictions", "coalesced", "errors",
-                  "disk_hits", "disk_misses", "disk_quarantined",
-                  "disk_errors", "disk_puts")
+        fields = CacheStats.COUNTERS
         counters = {
             field: registry.counter(
                 f"repro_cache_{field}_total",

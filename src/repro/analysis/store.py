@@ -189,7 +189,6 @@ class VerifyReport:
     quarantined_records: int = 0
     tmp_files: int = 0
     bytes: int = 0
-    journal: Optional[Dict[str, Any]] = None
 
     SCHEMA = "repro-store-verify-v1"
 
@@ -199,8 +198,7 @@ class VerifyReport:
 
     @property
     def ok(self) -> bool:
-        missing = (self.journal or {}).get("missing", [])
-        return self.undetected_corrupt == 0 and not missing
+        return self.undetected_corrupt == 0
 
     def as_dict(self) -> Dict[str, Any]:
         return {
@@ -214,7 +212,6 @@ class VerifyReport:
             "undetected_corrupt": self.undetected_corrupt,
             "tmp_files": self.tmp_files,
             "bytes": self.bytes,
-            "journal": self.journal,
         }
 
 
@@ -551,41 +548,6 @@ class ResultStore:
             1 for _ in self._quarantine.glob("*.rec"))
         report.tmp_files = sum(1 for _ in self._tmp.glob("*.tmp"))
         return report
-
-    def check_journal(self, journal_path: Union[str, Path],
-                      report: Optional[VerifyReport] = None) -> Dict[str, Any]:
-        """Cross-check a batch journal against the store: every analysis
-        a journal line records as completed must have a live, valid
-        record here.  (The batch pipeline publishes to the store before
-        appending to the journal, so the journal is always the subset.)
-        """
-        from repro.analysis.journal import BatchJournal
-
-        checked = matched = 0
-        missing: List[Dict[str, str]] = []
-        for fingerprint, record in BatchJournal(journal_path).load().items():
-            if not record.ok:
-                continue
-            for analysis, summary in record.values.items():
-                params = None
-                if analysis == "throughput" and isinstance(summary, dict) \
-                        and summary.get("method"):
-                    params = {"method": summary["method"]}
-                checked += 1
-                status, _ = self.get(fingerprint, analysis, params=params)
-                if status == HIT:
-                    matched += 1
-                else:
-                    missing.append({
-                        "fingerprint": fingerprint,
-                        "analysis": analysis,
-                        "status": status,
-                    })
-        agreement = {"path": str(journal_path), "checked": checked,
-                     "matched": matched, "missing": missing}
-        if report is not None:
-            report.journal = agreement
-        return agreement
 
     def compact(self, max_bytes: Optional[int] = None,
                 blocking: bool = True) -> Dict[str, int]:

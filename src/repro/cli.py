@@ -8,8 +8,8 @@ Gives the library's analyses a design-flow-friendly surface::
     python -m repro explain builtin:modem --html report.html --json prov.json
     python -m repro profile builtin:modem --format json
     python -m repro batch --registry --workers 4 --analysis throughput latency
-    python -m repro batch --registry --journal run.jsonl --store .repro-store
-    python -m repro cache verify --store .repro-store --journal run.jsonl
+    python -m repro batch --registry --store .repro-store
+    python -m repro cache verify --store .repro-store --json verify.json
     python -m repro obs analyze trace.json --json summary.json
     python -m repro obs flame spans.jsonl -o profile.folded
     python -m repro obs diff before.json after.json --format html -o diff.html
@@ -256,7 +256,6 @@ def cmd_batch(args) -> int:
     if args.workers < 1:
         print(f"error: --workers must be >= 1, got {args.workers}", file=sys.stderr)
         return 2
-    journal = args.journal or args.resume
     faults = None
     if args.inject:
         faults = FaultPlan(
@@ -287,8 +286,6 @@ def cmd_batch(args) -> int:
         timeout=args.timeout,
         retries=args.retries,
         faults=faults,
-        journal=journal,
-        resume=bool(args.resume),
         kernel=args.kernel,
         store=args.store,
     )
@@ -298,14 +295,11 @@ def cmd_batch(args) -> int:
     for result in report.results:
         if result.ok:
             tr = result.values.get("throughput")
-            if isinstance(tr, dict):  # resumed from journal: JSON summary
-                cycle = "unbounded" if tr.get("unbounded") else tr.get("cycle_time", "-")
-            elif tr is None:
+            if tr is None:
                 cycle = "-"
             else:
                 cycle = "unbounded" if tr.unbounded else _fmt(tr.cycle_time)
-            status = "resumed" if result.resumed else "ok"
-            print(f"{result.name:<26} {status:<11} {cycle:>14} "
+            print(f"{result.name:<26} {'ok':<11} {cycle:>14} "
                   f"{result.duration:>8.3f}s")
         else:
             status = "QUARANTINE" if result.quarantined else (
@@ -319,13 +313,9 @@ def cmd_batch(args) -> int:
     summary = (f"\n{len(report.ok)}/{len(report.results)} ok in "
                f"{report.duration:.3f}s ({report.backend}, "
                f"{report.workers} workers)")
-    if report.resumed:
-        summary += f", {len(report.resumed)} resumed from journal"
     if report.quarantined:
         summary += f", {len(report.quarantined)} quarantined"
     print(summary)
-    if journal:
-        print(f"journal: {journal}")
     print(f"cache: {hits} hits / {misses} misses this run "
           f"(hit rate {rate:.0%}; lifetime {after.hit_rate:.0%}, "
           f"{after.size}/{after.maxsize} entries)")
@@ -366,8 +356,6 @@ def cmd_cache(args) -> int:
 
     if args.action == "verify":
         report = store.verify(quarantine=not args.no_quarantine)
-        if args.journal:
-            store.check_journal(args.journal, report=report)
         doc = report.as_dict()
         if args.json:
             pathlib.Path(args.json).write_text(json.dumps(doc, indent=2) + "\n")
@@ -376,13 +364,6 @@ def cmd_cache(args) -> int:
               f"{len(report.corrupt)} corrupt "
               f"({report.quarantined_now} quarantined now, "
               f"{report.undetected_corrupt} undetected)")
-        if report.journal is not None:
-            j = report.journal
-            print(f"journal: {j['matched']}/{j['checked']} journaled "
-                  f"result(s) present in the store")
-            for entry in j["missing"]:
-                print(f"  missing: {entry['analysis']} of "
-                      f"{entry['fingerprint'][:16]} ({entry['status']})")
         return 0 if report.ok else 1
 
     if args.action == "purge":
@@ -975,7 +956,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", choices=("auto", "numpy", "exact"),
                    default="auto",
                    help="compute kernel for throughput analyses; cache "
-                        "entries and journals are shared across kernels")
+                        "entries and store records are shared across kernels")
     p.add_argument("--backend", choices=("thread", "process", "serial"),
                    default="thread")
     p.add_argument("--workers", type=int, default=4)
@@ -986,17 +967,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-graph cooperative deadline")
     p.add_argument("--retries", type=int, default=0,
                    help="retries (with backoff) for transient failures")
-    p.add_argument("--journal", metavar="FILE",
-                   help="append every finished graph to this crash-safe "
-                        "JSONL journal")
-    p.add_argument("--resume", metavar="JOURNAL",
-                   help="skip graphs this journal records as completed and "
-                        "keep journaling to it")
     p.add_argument("--store", metavar="DIR",
                    help="durable result store: serve repeat analyses from "
-                        "disk and publish new results crash-consistently "
-                        "(shared with process-backend workers; inspect with "
-                        "'repro cache')")
+                        "disk and publish new results crash-consistently, so "
+                        "re-running a killed sweep with the same store "
+                        "resumes it (shared with process-backend workers; "
+                        "inspect with 'repro cache')")
     p.add_argument("--inject", action="append", metavar="SPEC", default=[],
                    help="deterministic fault injection, e.g. "
                         "'name=modem:kill', 'p=0.2:raise:"
@@ -1028,15 +1004,12 @@ def build_parser() -> argparse.ArgumentParser:
         "verify",
         help="re-check every record's checksum, key echo and payload; "
              "quarantine corrupt ones (exit 1 if any corruption survives "
-             "undetected or the journal disagrees)",
+             "undetected)",
     )
     _store_arg(sp)
     sp.add_argument("--json", metavar="FILE",
                     help="write a repro-store-verify-v1 report (validate "
                          "with python -m repro.obs.check)")
-    sp.add_argument("--journal", metavar="FILE",
-                    help="also check every ok-journaled analysis has a "
-                         "valid store record (journal ⊆ store)")
     sp.add_argument("--no-quarantine", action="store_true",
                     help="report corrupt records but leave them in place")
     sp.set_defaults(func=cmd_cache)

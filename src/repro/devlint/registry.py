@@ -17,7 +17,7 @@ Categories group the project invariants each rule enforces:
 * ``determinism`` — analyses must be replayable: no wall-clock or
   unseeded randomness outside the sanctioned call sites.
 * ``durability`` — the crash-consistency contract of the persistence
-  layer (journal, result store): files under a durable root publish via
+  layer (the result store): files under a durable root publish via
   write-temp → fsync → atomic rename, never by writing the final path
   in place.
 * ``hygiene`` — generic Python footguns (broad excepts, mutable

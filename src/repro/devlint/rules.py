@@ -47,7 +47,7 @@ DETERMINISTIC_MODULES = (
 
 #: Modules owning crash-consistent on-disk state: every write must
 #: follow the durable publish protocol (see docs/robustness.md).
-DURABLE_MODULES = ("analysis/store.py", "analysis/journal.py")
+DURABLE_MODULES = ("analysis/store.py",)
 
 #: Modules whose declared artefact schemas must be validatable: a
 #: ``*_SCHEMA = "repro-...-vN"`` constant here needs a matching
@@ -620,13 +620,13 @@ _RANDOM_MODULE = "random"
     summary="wall-clock or unseeded randomness in an analysis module",
 )
 def _determinism(ctx: FileContext) -> Iterator:
-    """Analyses must be replayable byte for byte: the journal and the
-    provenance certificates assume two runs over the same model agree.
-    Wall-clock reads (``time.time``, ``datetime.now``) and the global
-    RNG are therefore banned in analysis/kernel modules — monotonic
-    clocks (``time.monotonic``/``perf_counter``, used by the deadline
-    and tracing layers) are fine, and fault injection draws from hashes,
-    not ``random``."""
+    """Analyses must be replayable byte for byte: the result store and
+    the provenance certificates assume two runs over the same model
+    agree.  Wall-clock reads (``time.time``, ``datetime.now``) and the
+    global RNG are therefore banned in analysis/kernel modules —
+    monotonic clocks (``time.monotonic``/``perf_counter``, used by the
+    deadline and tracing layers) are fine, and fault injection draws
+    from hashes, not ``random``."""
     if not ctx.in_modules(
         ctx.scope_option("deterministic_modules", DETERMINISTIC_MODULES)
     ):
@@ -701,14 +701,14 @@ def _open_mode(node: ast.Call) -> Optional[str]:
 )
 def _durability_discipline(ctx: FileContext) -> Iterator:
     """The crash-consistency contract of the persistence layer
-    (``analysis/store.py``, ``analysis/journal.py``): a process may die
-    at any instruction, so a file under a durable root must never be
-    truncated or created at its final path — a crash mid-write leaves a
-    torn file that a later reader can mistake for the real thing.  The
-    only blessed publish protocol is write to a temp path, ``fsync`` the
-    handle, then ``os.replace`` onto the final name (atomic on POSIX);
-    append-only logs may write the final path but must ``fsync`` in the
-    same function.  ``Path.write_text``/``write_bytes`` truncate in
+    (``analysis/store.py``): a process may die at any instruction, so a
+    file under a durable root must never be truncated or created at its
+    final path — a crash mid-write leaves a torn file that a later
+    reader can mistake for the real thing.  The only blessed publish
+    protocol is write to a temp path, ``fsync`` the handle, then
+    ``os.replace`` onto the final name (atomic on POSIX); append-only
+    logs may write the final path but must ``fsync`` in the same
+    function.  ``Path.write_text``/``write_bytes`` truncate in
     place and are banned outright in durable modules.
     """
     if not ctx.in_modules(ctx.scope_option("durable_modules",

@@ -18,7 +18,7 @@ offline-benchmark claim.  Three coordinated, zero-dependency pieces:
 :mod:`repro.obs.metrics`
     A metrics registry — counters, gauges, fixed-bucket histograms —
     unifying the previously siloed stats (cache hit/miss/eviction,
-    batch retry/quarantine/resume counts, fallback-tier outcomes, lint
+    batch retry/quarantine/timeout counts, fallback-tier outcomes, lint
     rule fires) behind one :class:`~repro.obs.metrics.MetricsRegistry`
     with Prometheus-text and JSON exporters and cross-process merging.
 

@@ -11,7 +11,7 @@ Dependency-free validators (no jsonschema in this environment) for:
   ``BENCH_*.json`` at the repository root (``name``/``unit``/``value``/
   ``baseline``/``meta`` entries, plus the optional ``host`` stamp);
 * the ``repro-provenance-v1`` certificate written by ``repro explain
-  --json`` (and embedded in batch journals and outcome dicts);
+  --json`` (and embedded in outcome dicts);
 * the ``repro-profile-v1`` stage-cost table written by ``repro profile
   --format json``;
 * the SARIF 2.1.0 logs written by ``repro lint`` and ``repro devlint``
@@ -613,29 +613,6 @@ def validate_store_verify(data: Any) -> Dict[str, int]:
     _need(data["undetected_corrupt"]
           == len(corrupt) - data["quarantined_now"], "store-verify",
           "'undetected_corrupt' must equal len(corrupt) - quarantined_now")
-    journal = data.get("journal")
-    if journal is not None:
-        _need(isinstance(journal, dict), "store-verify",
-              "'journal' must be an object or null")
-        _need(isinstance(journal.get("path"), str) and journal["path"],
-              "store-verify.journal", "needs a non-empty string 'path'")
-        for key in ("checked", "matched"):
-            value = journal.get(key)
-            _need(isinstance(value, int) and not isinstance(value, bool)
-                  and value >= 0, "store-verify.journal",
-                  f"{key!r} must be a non-negative integer, got {value!r}")
-        missing = journal.get("missing")
-        _need(isinstance(missing, list), "store-verify.journal",
-              "'missing' must be an array")
-        _need(journal["matched"] + len(missing) == journal["checked"],
-              "store-verify.journal",
-              "matched + len(missing) must equal checked")
-        for index, entry in enumerate(missing):
-            where = f"store-verify.journal.missing[{index}]"
-            _need(isinstance(entry, dict), where, "must be an object")
-            for key in ("fingerprint", "analysis", "status"):
-                _need(isinstance(entry.get(key), str) and entry[key], where,
-                      f"needs a non-empty string {key!r}")
     return {"records": data["records"], "corrupt": len(corrupt),
             "undetected_corrupt": data["undetected_corrupt"]}
 

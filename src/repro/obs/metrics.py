@@ -2,7 +2,7 @@
 
 One :class:`MetricsRegistry` unifies the stats previously siloed in
 ``CacheStats`` (hit/miss/eviction/coalesced/errors), the batch runner's
-retry/quarantine/resume counts, the fallback-tier outcomes of
+retry/quarantine/timeout counts, the fallback-tier outcomes of
 :class:`repro.analysis.resilience.AnalysisPolicy` and the lint engine's
 per-rule fire counts — behind two exporters:
 

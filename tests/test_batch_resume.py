@@ -1,8 +1,8 @@
-"""Batch hardening: journal/resume, retries, quarantine, isolation."""
+"""Batch hardening: resume by store, retries, quarantine, isolation."""
 
 from __future__ import annotations
 
-import json
+from fractions import Fraction
 
 import pytest
 
@@ -10,8 +10,7 @@ from repro.analysis.batch import analyse_graph, run_batch
 from repro.analysis.cache import AnalysisCache
 from repro.analysis.deadline import CancelToken
 from repro.analysis.faults import FaultPlan, FaultRule
-from repro.analysis.journal import BatchJournal, JournalRecord
-from repro.analysis.throughput import throughput
+from repro.analysis.store import ResultStore
 from repro.graphs.dsp import modem, satellite_receiver
 from repro.graphs.examples import figure3_graph
 from repro.graphs.multimedia import mp3_playback
@@ -21,101 +20,65 @@ def small_graphs():
     return [figure3_graph(), modem(), satellite_receiver()]
 
 
-class TestJournal:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        with BatchJournal(path) as journal:
-            journal.record(JournalRecord(
-                name="g", fingerprint="fp-1", ok=True,
-                values={"throughput": {"cycle_time": "41"}},
-            ))
-            journal.record(JournalRecord(
-                name="h", fingerprint="fp-2", ok=False,
-                error="boom", error_type="ValueError",
-            ))
-        records = BatchJournal(path).load()
-        assert set(records) == {"fp-1", "fp-2"}
-        assert records["fp-1"].ok
-        assert records["fp-1"].values["throughput"]["cycle_time"] == "41"
-        assert records["fp-2"].error_type == "ValueError"
-        assert BatchJournal(path).completed_fingerprints() == ["fp-1"]
-
-    def test_last_record_wins(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        with BatchJournal(path) as journal:
-            journal.record(JournalRecord(name="g", fingerprint="fp", ok=False,
-                                         error="first try"))
-            journal.record(JournalRecord(name="g", fingerprint="fp", ok=True))
-        assert BatchJournal(path).load()["fp"].ok
-
-    def test_torn_tail_tolerated(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        with BatchJournal(path) as journal:
-            journal.record(JournalRecord(name="g", fingerprint="fp-1", ok=True))
-        with path.open("a") as f:
-            f.write('{"kind": "result", "name": "h", "fing')  # crash mid-write
-        records = BatchJournal(path).load()
-        assert set(records) == {"fp-1"}
-
-    def test_mid_file_corruption_raises(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        good = json.dumps(JournalRecord(name="g", fingerprint="fp", ok=True).as_dict())
-        path.write_text("not json at all\n" + good + "\n")
-        with pytest.raises(ValueError, match="corrupt journal"):
-            BatchJournal(path).load()
-
-    def test_missing_file_is_empty(self, tmp_path):
-        assert BatchJournal(tmp_path / "absent.jsonl").load() == {}
+def disk_traffic(report):
+    """(disk hits, disk misses, results published) of one batch run."""
+    stats = report.cache_stats
+    return stats.disk_hits, stats.disk_misses, stats.disk_puts
 
 
 class TestResume:
+    """Resuming a sweep is re-running it against the same store: every
+    analysis with a valid record is served from disk as the same typed
+    result a fresh computation returns, and only the rest is computed."""
+
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     def test_resume_skips_completed_fingerprints(self, tmp_path, backend):
-        path = tmp_path / "run.jsonl"
         graphs = small_graphs()
         first = run_batch(graphs, backend=backend, workers=2,
-                          journal=path, cache=AnalysisCache())
+                          store=tmp_path, cache=AnalysisCache())
         assert len(first.ok) == 3
+        assert disk_traffic(first) == (0, 3, 3)
 
         second = run_batch(graphs, backend=backend, workers=2,
-                           journal=path, resume=True, cache=AnalysisCache())
-        assert len(second.resumed) == 3
-        assert all(r.ok and r.duration == 0.0 for r in second.results)
-        # Resumed values are the journal's JSON summaries.
-        for graph, result in zip(graphs, second.results):
-            expected = str(throughput(graph).cycle_time)
-            assert result.values["throughput"]["cycle_time"] == expected
+                           store=tmp_path, cache=AnalysisCache())
+        assert all(r.ok for r in second.results)
+        # Every memory miss was a disk hit: nothing was computed.
+        assert disk_traffic(second) == (3, 0, 0)
+        assert second.cache_stats.misses == 3
+        for fresh, served in zip(first.results, second.results):
+            fresh, served = fresh.value("throughput"), served.value("throughput")
+            assert isinstance(served.cycle_time, Fraction)
+            assert served.cycle_time == fresh.cycle_time
+            assert served.provenance.fingerprint == fresh.provenance.fingerprint
 
     def test_resume_reanalyses_failures(self, tmp_path):
-        path = tmp_path / "run.jsonl"
         graphs = small_graphs()
         flake = FaultPlan((FaultRule(action="raise", name="modem"),))
-        first = run_batch(graphs, backend="serial", journal=path,
+        first = run_batch(graphs, backend="serial", store=tmp_path,
                           faults=flake, cache=AnalysisCache())
         assert [r.ok for r in first.results] == [True, False, True]
+        assert ResultStore(tmp_path).stats().records == 2
 
-        second = run_batch(graphs, backend="serial", journal=path,
-                           resume=True, cache=AnalysisCache())
-        assert [r.resumed for r in second.results] == [True, False, True]
+        second = run_batch(graphs, backend="serial", store=tmp_path,
+                           cache=AnalysisCache())
         assert all(r.ok for r in second.results)
-        # The journal now records modem's success; a third resume skips all.
-        third = run_batch(graphs, backend="serial", journal=path,
-                          resume=True, cache=AnalysisCache())
-        assert len(third.resumed) == 3
+        # Only modem, which failed in the first run, is analysed again.
+        assert disk_traffic(second) == (2, 1, 1)
+        # Its result is durable now too: a third run computes nothing.
+        third = run_batch(graphs, backend="serial", store=tmp_path,
+                          cache=AnalysisCache())
+        assert disk_traffic(third) == (3, 0, 0)
 
     def test_resume_is_fingerprint_keyed_not_order_keyed(self, tmp_path):
-        path = tmp_path / "run.jsonl"
         run_batch([figure3_graph(), modem()], backend="serial",
-                  journal=path, cache=AnalysisCache())
+                  store=tmp_path, cache=AnalysisCache())
         # Reordered + extended list: only the new graph is analysed.
         report = run_batch([modem(), satellite_receiver(), figure3_graph()],
-                           backend="serial", journal=path, resume=True,
+                           backend="serial", store=tmp_path,
                            cache=AnalysisCache())
-        assert [r.resumed for r in report.results] == [True, False, True]
-
-    def test_resume_without_journal_rejected(self):
-        with pytest.raises(ValueError, match="journal"):
-            run_batch([figure3_graph()], resume=True)
+        assert all(r.ok for r in report.results)
+        assert disk_traffic(report) == (2, 1, 1)
+        assert ResultStore(tmp_path).stats().records == 3
 
 
 class TestRetries:
@@ -193,21 +156,17 @@ class TestIsolation:
 
 
 class TestQuarantine:
-    def test_worker_kill_quarantines_only_the_poison_graph(self, tmp_path):
-        path = tmp_path / "run.jsonl"
+    def test_worker_kill_quarantines_only_the_poison_graph(self):
         graphs = small_graphs()
         plan = FaultPlan((FaultRule(action="kill", name="modem"),))
         report = run_batch(graphs, backend="process", workers=2,
-                           faults=plan, journal=path, cache=AnalysisCache())
+                           faults=plan, cache=AnalysisCache())
         by_name = {r.name: r for r in report.results}
         assert by_name["modem"].quarantined
         assert by_name["modem"].error_type == "WorkerCrashed"
         assert by_name["modem"].fingerprint[:12] in by_name["modem"].error
         others = [r for r in report.results if r.name != "modem"]
         assert all(r.ok for r in others)
-        # The quarantine verdict is journaled.
-        records = BatchJournal(path).load()
-        assert records[by_name["modem"].fingerprint].quarantined
 
     def test_kill_in_thread_backend_degrades_to_error(self):
         plan = FaultPlan((FaultRule(action="kill", name="modem"),))
@@ -219,15 +178,41 @@ class TestQuarantine:
         assert not result.quarantined  # no process actually died
 
 
+class FakeClock:
+    """A monotonic clock that moves only when something sleeps on it."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self) -> float:
+        return self.now
+
+    def sleep(self, seconds: float) -> None:
+        self.now += seconds
+
+
 class TestHangAndCancel:
-    def test_injected_hang_ends_in_timeout(self):
+    """Budgets run on a fake clock shared by the deadline and the fault
+    injector: the injected hang uses up the 0.2 s budget in 1 ms sleeps,
+    while real analyses never advance the clock, so no verdict depends
+    on how loaded the host is."""
+
+    @pytest.fixture(autouse=True)
+    def clock(self, monkeypatch):
+        clock = FakeClock()
+        monkeypatch.setattr("repro.analysis.deadline.time", clock)
+        monkeypatch.setattr("repro.analysis.faults.time", clock)
+        return clock
+
+    def test_injected_hang_ends_in_timeout(self, clock):
         plan = FaultPlan((FaultRule(action="hang", name="modem"),))
         report = run_batch(small_graphs(), backend="serial", timeout=0.2,
                            faults=plan, cache=AnalysisCache())
         by_name = {r.name: r for r in report.results}
         assert by_name["modem"].timed_out
         assert by_name["modem"].error_type == "AnalysisTimeout"
-        assert by_name["figure3"].ok or by_name["figure3"].timed_out
+        assert by_name["figure3"].ok
+        assert clock.now == pytest.approx(0.2, abs=0.002)
 
     def test_report_accessors(self):
         plan = FaultPlan((FaultRule(action="hang", name="modem"),))
@@ -235,4 +220,3 @@ class TestHangAndCancel:
                            faults=plan, cache=AnalysisCache())
         assert [r.name for r in report.timed_out] == ["modem"]
         assert report.quarantined == []
-        assert report.resumed == []

@@ -272,17 +272,16 @@ class TestCacheCommand:
 
         default_cache().clear()
         store = tmp_path / "store"
-        journal = tmp_path / "journal.jsonl"
         assert main(["batch", "builtin:figure3", "--backend", "serial",
-                     "--store", str(store), "--journal", str(journal)]) == 0
+                     "--store", str(store)]) == 0
         out = capsys.readouterr().out
         assert "1 published" in out
-        return store, journal
+        return store
 
     def test_batch_store_then_warm_disk_hits(self, capsys, tmp_path):
         from repro.analysis.cache import default_cache
 
-        store, _ = self._seed(tmp_path, capsys)
+        store = self._seed(tmp_path, capsys)
         # A cold memory cache over the same store: the result comes
         # back from disk, nothing is recomputed or republished.
         default_cache().clear()
@@ -292,7 +291,7 @@ class TestCacheCommand:
         assert "store: 1 disk hits / 0 disk misses, 0 published" in out
 
     def test_cache_stats(self, capsys, tmp_path):
-        store, _ = self._seed(tmp_path, capsys)
+        store = self._seed(tmp_path, capsys)
         assert main(["cache", "stats", "--store", str(store)]) == 0
         out = capsys.readouterr().out
         assert "records" in out and "1" in out
@@ -300,38 +299,44 @@ class TestCacheCommand:
     def test_cache_stats_json_validates(self, capsys, tmp_path):
         from repro.obs.check import validate_store_stats
 
-        store, _ = self._seed(tmp_path, capsys)
+        store = self._seed(tmp_path, capsys)
         assert main(["cache", "stats", "--store", str(store),
                      "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert validate_store_stats(doc)["records"] == 1
 
-    def test_cache_verify_clean_with_journal(self, capsys, tmp_path):
-        store, journal = self._seed(tmp_path, capsys)
+    def test_cache_verify_clean_json_validates(self, capsys, tmp_path):
+        from repro.obs.check import validate_store_verify
+
+        store = self._seed(tmp_path, capsys)
+        report_path = tmp_path / "verify.json"
         assert main(["cache", "verify", "--store", str(store),
-                     "--journal", str(journal)]) == 0
+                     "--json", str(report_path)]) == 0
         out = capsys.readouterr().out
         assert "1 valid, 0 corrupt" in out
-        assert "journal: 1/1" in out
+        summary = validate_store_verify(json.loads(report_path.read_text()))
+        assert summary == {"records": 1, "corrupt": 0,
+                           "undetected_corrupt": 0}
 
-    def test_cache_verify_json_validates_and_fails_on_missing(
+    def test_cache_verify_fails_on_undetected_corruption(
             self, capsys, tmp_path):
         from repro.obs.check import validate_store_verify
 
-        store, journal = self._seed(tmp_path, capsys)
-        assert main(["cache", "purge", "--store", str(store)]) == 0
-        capsys.readouterr()
+        store = self._seed(tmp_path, capsys)
+        record = next((store / "records").rglob("*.rec"))
+        record.write_bytes(b"garbage")
+        # Left in place, the corrupt record is still live: exit 1.
         report_path = tmp_path / "verify.json"
         assert main(["cache", "verify", "--store", str(store),
-                     "--journal", str(journal),
-                     "--json", str(report_path)]) == 1
-        doc = json.loads(report_path.read_text())
-        summary = validate_store_verify(doc)
-        assert summary["undetected_corrupt"] == 0
-        assert doc["journal"]["missing"]
+                     "--no-quarantine", "--json", str(report_path)]) == 1
+        summary = validate_store_verify(json.loads(report_path.read_text()))
+        assert summary["undetected_corrupt"] == 1
+        # Quarantining it makes the store consistent again: exit 0.
+        assert main(["cache", "verify", "--store", str(store)]) == 0
+        assert "0 undetected" in capsys.readouterr().out
 
     def test_cache_verify_quarantines_corruption(self, capsys, tmp_path):
-        store, _ = self._seed(tmp_path, capsys)
+        store = self._seed(tmp_path, capsys)
         record = next((store / "records").rglob("*.rec"))
         record.write_bytes(b"garbage")
         assert main(["cache", "verify", "--store", str(store)]) == 0
@@ -339,7 +344,7 @@ class TestCacheCommand:
         assert "1 quarantined now" in out and "0 undetected" in out
 
     def test_cache_purge_and_compact(self, capsys, tmp_path):
-        store, _ = self._seed(tmp_path, capsys)
+        store = self._seed(tmp_path, capsys)
         assert main(["cache", "compact", "--store", str(store),
                      "--max-bytes", "1"]) == 0
         assert "evicted 1" in capsys.readouterr().out

@@ -1,10 +1,11 @@
 """Kernel selection across the batch/cache/resilience layers.
 
 The kernel knob is pure *mechanism*: results are bit-identical either
-way, so cache entries, journals and resumed batches are shared across
-kernels.  These tests pin that contract where it could silently break —
-the memoized cache, the process-pool payload and the journal/resume
-round trip — plus the policy-level validation and provenance labels.
+way, so cache entries, store records and resumed batches are shared
+across kernels.  These tests pin that contract where it could silently
+break — the memoized cache, the process-pool payload and the
+resume-by-store round trip — plus the policy-level validation and
+provenance labels.
 """
 
 from __future__ import annotations
@@ -85,43 +86,48 @@ class TestBatchKernels:
 
 
 class TestJournalResumeAcrossKernels:
+    """Resume re-runs a batch against the same result store; records are
+    keyed by content, not by kernel, so either kernel serves the other's."""
+
     def test_resume_with_switched_kernel(self, tmp_path):
-        journal = tmp_path / "batch.jsonl"
-        cache = AnalysisCache(maxsize=16)
         first = run_batch(
-            GRAPHS, backend="thread", cache=cache,
-            journal=journal, kernel="numpy",
+            GRAPHS, backend="thread", cache=AnalysisCache(maxsize=16),
+            store=tmp_path, kernel="numpy",
         )
         assert all(r.ok for r in first.results)
 
-        # Resuming under the other kernel replays every journaled
-        # success — the journal records results, not kernels.
+        # Resuming under the other kernel serves every record the first
+        # run wrote: the store keys results, not kernels.
         resumed = run_batch(
             GRAPHS, backend="thread", cache=AnalysisCache(maxsize=16),
-            journal=journal, resume=True, kernel="exact",
+            store=tmp_path, kernel="exact",
         )
-        assert all(r.resumed for r in resumed.results)
+        stats = resumed.cache_stats
+        assert (stats.disk_hits, stats.disk_misses, stats.disk_puts) == (
+            len(GRAPHS), 0, 0,
+        )
         for fresh, replay in zip(first.results, resumed.results):
-            summary = replay.values["throughput"]
-            assert summary["cycle_time"] == str(
-                fresh.values["throughput"].cycle_time
-            )
+            fresh, served = fresh.value("throughput"), replay.value("throughput")
+            assert served.cycle_time == fresh.cycle_time
+            assert served.provenance.fingerprint == fresh.provenance.fingerprint
+            assert served.provenance.kernel == "numpy"
 
     def test_partial_resume_computes_the_rest_with_new_kernel(self, tmp_path):
-        journal = tmp_path / "partial.jsonl"
         run_batch(GRAPHS[:2], backend="serial",
                   cache=AnalysisCache(maxsize=16),
-                  journal=journal, kernel="exact")
+                  store=tmp_path, kernel="exact")
         report = run_batch(
             GRAPHS, backend="serial", cache=AnalysisCache(maxsize=16),
-            journal=journal, resume=True, kernel="numpy",
+            store=tmp_path, kernel="numpy",
         )
-        assert [r.resumed for r in report.results] == [
-            True, True, False, False,
-        ]
         assert all(r.ok for r in report.results)
-        fresh = report.results[2].values["throughput"]
-        assert fresh.provenance.kernel == "numpy"
+        stats = report.cache_stats
+        assert (stats.disk_hits, stats.disk_misses, stats.disk_puts) == (
+            2, 2, 2,
+        )
+        kernels = [r.value("throughput").provenance.kernel
+                   for r in report.results]
+        assert kernels == ["exact", "exact", "numpy", "numpy"]
 
 
 class TestPolicyKernels:

@@ -462,7 +462,6 @@ def _store_verify_doc(**over):
         "corrupt": [{"path": "records/ab/abc.rec", "reason": "torn-payload"}],
         "quarantined_now": 1, "undetected_corrupt": 0,
         "quarantined_records": 1, "tmp_files": 0, "bytes": 512,
-        "journal": None,
     }
     doc.update(over)
     return doc
@@ -533,17 +532,6 @@ class TestStoreVerifyValidator:
         with pytest.raises(SchemaError, match="undetected_corrupt"):
             check.validate_store_verify(
                 _store_verify_doc(undetected_corrupt=1))
-
-    def test_journal_agreement_block(self):
-        doc = _store_verify_doc(journal={
-            "path": "journal.jsonl", "checked": 2, "matched": 1,
-            "missing": [{"fingerprint": "fp", "analysis": "throughput",
-                         "status": "miss"}],
-        })
-        check.validate_store_verify(doc)
-        doc["journal"]["matched"] = 2
-        with pytest.raises(SchemaError, match="matched"):
-            check.validate_store_verify(doc)
 
     def test_wrong_schema_tag(self):
         with pytest.raises(SchemaError, match="schema"):

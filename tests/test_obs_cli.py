@@ -120,13 +120,19 @@ class TestProfile:
 
 
 class TestBatchObservability:
-    def test_process_backend_merges_worker_lanes(self, tmp_path):
+    def test_process_backend_merges_worker_lanes(self, capsys, tmp_path):
+        from repro.analysis.cache import default_cache
+        from repro.analysis.store import ResultStore
+
         trace = tmp_path / "batch.json"
         metrics = tmp_path / "batch.prom"
+        store = tmp_path / "store"
         assert main(["batch", "--registry", "--backend", "process",
-                     "--workers", "2",
+                     "--workers", "2", "--store", str(store),
                      "--trace", str(trace),
                      "--metrics", str(metrics)]) == 0
+        assert "store: 0 disk hits / 8 disk misses, 8 published" \
+            in capsys.readouterr().out
         data = json.loads(trace.read_text())
         validate_chrome_trace(data)
         events = data["traceEvents"]
@@ -142,6 +148,19 @@ class TestBatchObservability:
         validate_prometheus_text(text)
         # Worker-side registries were merged into one parent snapshot.
         assert 'repro_batch_results_total{status="ok"}' in text
+        # Each worker publishes its own result; the parent adopts it
+        # into memory without publishing or counting it again.
+        records = ResultStore(store).stats().records
+        assert records == 8
+        assert f"repro_cache_disk_puts_total {records}\n" in text
+
+        # A cold re-run over the populated store: the workers serve
+        # every graph from disk, and the CLI reports their traffic.
+        default_cache().clear()
+        assert main(["batch", "--registry", "--backend", "process",
+                     "--workers", "2", "--store", str(store)]) == 0
+        assert "store: 8 disk hits / 0 disk misses, 0 published" \
+            in capsys.readouterr().out
 
     def test_serial_batch_counts_outcomes(self, tmp_path):
         metrics = tmp_path / "batch.json"

@@ -3,7 +3,7 @@
 Three layers of assurance:
 
 * unit tests of the record format, LRU budget, quarantine semantics and
-  the journal-agreement check;
+  the cache's disk tier;
 * a Hypothesis property: *no* single corruption of a record file (byte
   flip, truncation, garbage splice, deletion) can make the store return
   a wrong analysis result — every outcome is quarantine-or-recompute;
@@ -431,32 +431,6 @@ class TestKillCrashPoints:
         assert "SURVIVED" in run.stdout
 
 
-class TestJournalAgreement:
-    def test_journal_subset_of_store_holds_and_breaks(self, tmp_path):
-        from repro.analysis.batch import run_batch
-
-        graph, _ = _reference()
-        journal = tmp_path / "journal.jsonl"
-        store = ResultStore(tmp_path / "store")
-        # A fresh memory cache: a warm default_cache would serve the
-        # result from memory and (correctly) never publish to disk.
-        report = run_batch([graph], analyses=("throughput",),
-                           backend="serial", journal=journal, store=store,
-                           cache=AnalysisCache(maxsize=8))
-        assert len(report.ok) == 1
-        agreement = store.check_journal(journal)
-        assert agreement["checked"] == 1
-        assert agreement["matched"] == 1 and not agreement["missing"]
-
-        # Delete the record: the journal now references a missing
-        # result and verify must say so.
-        store.purge()
-        verify = store.verify()
-        store.check_journal(journal, report=verify)
-        assert verify.journal["missing"]
-        assert not verify.ok
-
-
 class TestCacheDiskTier:
     def test_memory_disk_compute_order(self, tmp_path):
         graph, _ = _reference()
@@ -508,8 +482,8 @@ class TestCacheDiskTier:
             assert as_dict[field] == getattr(stats, field)
 
     def test_store_back_publishes_to_disk(self, tmp_path):
-        # The process backend adopts worker results via cache.store():
-        # with a disk tier attached they must become durable.
+        # A result computed elsewhere and inserted with cache.store()
+        # becomes durable when a disk tier is attached.
         graph, result = _reference()
         store = ResultStore(tmp_path)
         cache = AnalysisCache(maxsize=8, store=store)
