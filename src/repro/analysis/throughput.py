@@ -140,19 +140,21 @@ def _dispatch_kernel(info, method, numpy_call, exact_call):
     """Run the numpy kernel when selected, falling back to exact.
 
     A :class:`~repro.kernels.NumericalGuardError` from the numpy kernel
-    is the designed degradation path: record it (``info["fallback"]``,
-    ``repro_kernel_fallback_total``) and rerun with the reference
-    implementation, which always succeeds on the same inputs.  Every
-    other exception (deadlock, timeout, validation) propagates — both
-    kernels raise the same error types for the same graphs.
+    is the designed degradation path: rerun with the reference
+    implementation, which always succeeds on the same inputs, and
+    record the analysis's first trip (``info["fallback"]``,
+    ``repro_kernel_fallback_total``).  Every other exception (deadlock,
+    timeout, validation) propagates — both kernels raise the same error
+    types for the same graphs.
     """
     if info["used"] == "numpy":
         try:
             return numpy_call()
         except NumericalGuardError as error:
             info["used"] = "exact"
-            info["fallback"] = str(error)
-            record_fallback(method)
+            if info["fallback"] is None:
+                info["fallback"] = str(error)
+                record_fallback(method)
     return exact_call()
 
 
@@ -256,8 +258,20 @@ def _throughput(graph, method, precheck, deadline, witness, info=None):
         with span("repetition-vector"):
             gamma = repetition_vector(graph)
         if method == "symbolic":
-            with span("symbolic-conversion"):
-                iteration = symbolic_iteration(graph, deadline=deadline)
+            with span("symbolic-conversion") as symbolic_span:
+                iteration = _dispatch_kernel(
+                    info, method,
+                    lambda: symbolic_iteration(
+                        graph, deadline=deadline, repetitions=gamma,
+                        kernel="numpy"),
+                    lambda: symbolic_iteration(
+                        graph, deadline=deadline, repetitions=gamma,
+                        kernel="exact"),
+                )
+                symbolic_span.set(kernel_used=info["used"])
+            # The MCM has its own guard: a trip in the walk leaves it on
+            # the selected kernel, and the result still reports the trip.
+            info["used"] = info["selected"]
             with span("mcm-eigenvalue",
                       matrix_order=iteration.matrix.nrows) as mcm_span:
                 mcm = _dispatch_kernel(
@@ -268,6 +282,8 @@ def _throughput(graph, method, precheck, deadline, witness, info=None):
                         iteration.matrix, deadline=deadline, kernel="exact"),
                 )
                 mcm_span.set(kernel_used=info["used"])
+            if info["fallback"]:
+                info["used"] = "exact"
             top_span.set(kernel_used=info["used"])
             result = ThroughputResult(
                 cycle_time=mcm.value, repetition=gamma, method=method

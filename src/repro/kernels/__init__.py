@@ -4,7 +4,7 @@ The exact analyses (:mod:`repro.maxplus`, :mod:`repro.mcm`,
 :mod:`repro.sdf.simulation`) work over Python dicts with
 :class:`fractions.Fraction` arithmetic — auditable and exact, but they
 cap the throughput of every layer above (batch tier, resilience tiers).
-This package provides array-backed equivalents of the three hot loops:
+This package provides array-backed equivalents of the hot loops:
 
 * Karp's maximum cycle mean as vectorized Bellman sweeps over a
   CSR-style :class:`~repro.kernels.arraygraph.ArrayGraph`
@@ -15,7 +15,10 @@ This package provides array-backed equivalents of the three hot loops:
   firing step (:func:`~repro.kernels.simulation.
   simulation_throughput_numpy`);
 * a dense max-plus semiring module (batched ``np.maximum`` +
-  broadcast-add matrix product, :mod:`repro.kernels.maxplus`).
+  broadcast-add matrix product, :mod:`repro.kernels.maxplus`);
+* Algorithm 1's symbolic execution as one array step per schedule run
+  (:func:`~repro.kernels.symbolic.block_walk`), exact by an a-priori
+  ``2**53`` bound on its integer stamps.
 
 **The numpy kernels return the same exact results as the reference
 implementations.**  Floating point is used only to *search* for a

@@ -24,6 +24,14 @@ class MaxPlusVector:
         self._entries = tuple(check_scalar(x) for x in entries)
 
     @classmethod
+    def _trusted(cls, entries: tuple) -> "MaxPlusVector":
+        """Wrap an entry tuple derived from already-validated scalars
+        (no per-entry check; the symbolic walk's hot path)."""
+        vector = cls.__new__(cls)
+        vector._entries = entries
+        return vector
+
+    @classmethod
     def unit(cls, size: int, index: int) -> "MaxPlusVector":
         """The ``index``-th max-plus unit vector: 0 at ``index``, ε elsewhere.
 
@@ -109,6 +117,16 @@ class MaxPlusMatrix:
         if len(widths) > 1:
             raise ValueError("ragged matrix rows")
         self._ncols = widths.pop() if widths else 0
+
+    @classmethod
+    def _trusted(cls, rows: Sequence[tuple], ncols: int) -> "MaxPlusMatrix":
+        """Wrap ``ncols``-wide row tuples derived from already-validated
+        scalars (no per-entry check)."""
+        matrix = cls.__new__(cls)
+        matrix._rows = tuple(rows)
+        matrix._nrows = len(matrix._rows)
+        matrix._ncols = ncols if matrix._nrows else 0
+        return matrix
 
     @classmethod
     def identity(cls, size: int) -> "MaxPlusMatrix":

@@ -10,7 +10,7 @@ conversion (references [11, 15]) that Section 6 of the paper improves on.
 
 from repro.sdf.graph import Actor, Edge, SDFGraph
 from repro.sdf.repetition import repetition_vector, is_consistent, iteration_length
-from repro.sdf.schedule import sequential_schedule, is_live
+from repro.sdf.schedule import block_schedule, sequential_schedule, is_live
 from repro.sdf.simulation import SelfTimedSimulation, simulation_throughput
 from repro.sdf.transform import traditional_hsdf
 from repro.sdf.compose import disjoint_union, feedback, renamed, serial
@@ -25,6 +25,7 @@ __all__ = [
     "repetition_vector",
     "is_consistent",
     "iteration_length",
+    "block_schedule",
     "sequential_schedule",
     "is_live",
     "SelfTimedSimulation",

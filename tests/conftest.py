@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import random
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -54,6 +55,35 @@ def simple_ring() -> SDFGraph:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20090726)  # the paper's conference date
+
+
+class TickingClock:
+    """A monotonic clock that advances ``tick`` seconds on every read.
+
+    A deadline of ``b`` seconds then expires after about ``b / tick``
+    clock reads, however fast or loaded the host is.
+    """
+
+    def __init__(self, tick: float):
+        self.tick = tick
+        self.now = 0.0
+
+    def monotonic(self) -> float:
+        self.now += self.tick
+        return self.now
+
+
+@contextmanager
+def ticking_deadlines(tick: float = 0.002):
+    """Run every :class:`repro.analysis.deadline.Deadline` on a
+    :class:`TickingClock` (monkeypatched into the deadline module; the
+    library takes no clock parameter).  With the default 2 ms tick a
+    1 ms stage budget expires at the stage's first poll, while a 10 s
+    budget allows thousands of polls."""
+    clock = TickingClock(tick)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("repro.analysis.deadline.time", clock)
+        yield
 
 
 def replay_schedule(graph: SDFGraph, schedule) -> bool:

@@ -7,13 +7,15 @@ error types with the same messages — because its float search phase is
 always followed by exact re-derivation and certification.
 
 :func:`assert_backends_agree` checks that whole contract for one graph
-and one method and is shared by the registry-wide and property-based
-suites in ``test_kernel_oracle.py``.
+and one method, and :func:`assert_symbolic_engines_agree` checks it for
+the two engines of Algorithm 1's symbolic execution; both are shared by
+the registry-wide and property-based suites in ``test_kernel_oracle.py``.
 """
 
 from __future__ import annotations
 
 from repro.analysis.throughput import throughput
+from repro.core.symbolic import symbolic_iteration
 from repro.errors import ReproError
 from repro.kernels import float_tolerance
 from repro.obs.provenance import verify_witness
@@ -93,3 +95,43 @@ def assert_backends_agree(graph, method: str, expect_fallback: bool = False):
             assert mean == exact_result.cycle_time
 
     return numpy_result, exact_result
+
+
+def _iteration(graph, kernel: str, **kwargs):
+    try:
+        return symbolic_iteration(graph, kernel=kernel, **kwargs), None
+    except ReproError as error:
+        return None, error
+
+
+def assert_symbolic_engines_agree(graph, **kwargs):
+    """Assert the block engine and the exact walk execute ``graph``
+    identically (``kwargs`` go to :func:`symbolic_iteration`).
+
+    Either both raise the same error type with the same message, or
+    matrix, token ids, schedule, start and completion stamps are all
+    equal (stamp maps in the same firing order).  Returns the numpy
+    iteration, or ``None`` when both raised.
+    """
+    numpy_iteration, numpy_error = _iteration(graph, "numpy", **kwargs)
+    exact_iteration, exact_error = _iteration(graph, "exact", **kwargs)
+    if exact_error is not None:
+        assert numpy_error is not None, (
+            f"exact raised {type(exact_error).__name__}: {exact_error} "
+            "but numpy returned an iteration"
+        )
+        assert type(numpy_error) is type(exact_error)
+        assert str(numpy_error) == str(exact_error)
+        return None
+    assert numpy_error is None, (
+        f"numpy raised {type(numpy_error).__name__}: {numpy_error}"
+    )
+    assert numpy_iteration.matrix == exact_iteration.matrix
+    assert numpy_iteration.token_ids == exact_iteration.token_ids
+    assert numpy_iteration.runs == exact_iteration.runs
+    assert numpy_iteration.schedule == exact_iteration.schedule
+    assert (list(numpy_iteration.firing_starts.items())
+            == list(exact_iteration.firing_starts.items()))
+    assert (list(numpy_iteration.firing_completions.items())
+            == list(exact_iteration.firing_completions.items()))
+    return numpy_iteration

@@ -7,6 +7,7 @@ because everything derives from plain integer draws.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd
 
 from hypothesis import strategies as st
@@ -138,6 +139,54 @@ def live_sdf_graphs(
             max_time=max_time,
         )
     )
+
+
+#: Self-loop reshapes drawn by :func:`symbolic_stress_graphs` (``keep``
+#: repeated so most actors keep the common one-token loop).
+_LOOP_SHAPES = ("keep", "keep", "tokens", "parallel", "rate2", "drop",
+                "unbalanced")
+
+
+@st.composite
+def symbolic_stress_graphs(draw, max_actors: int = 4, max_repetition: int = 4):
+    """A :func:`consistent_connected_sdf_graphs` draw reshaped to reach
+    every path of the symbolic engines.
+
+    Each actor may get a fractional execution time, and its one-token
+    self-loop is kept or drawn into another shape: ``d > 1`` tokens, a
+    parallel second self-loop, rates ``p = c = 2``, dropped (the actor
+    becomes auto-concurrent; only when it has another in-edge), or
+    ``p ≠ c`` — which makes the graph inconsistent, so the engines must
+    agree on the error instead.
+    """
+    g = draw(consistent_connected_sdf_graphs(
+        max_actors=max_actors, max_repetition=max_repetition,
+        max_extra_edges=3, max_extra_tokens=2, name="hyp-symbolic"))
+    for actor in g.actor_names:
+        if draw(st.booleans()):
+            g.set_execution_time(actor, Fraction(
+                draw(st.integers(min_value=0, max_value=12)),
+                draw(st.integers(min_value=1, max_value=4))))
+        loop = f"self_{actor}"
+        shape = draw(st.sampled_from(_LOOP_SHAPES))
+        if shape == "tokens":
+            g.set_tokens(loop, draw(st.integers(min_value=2, max_value=4)))
+        elif shape == "parallel":
+            g.add_edge(actor, actor, name=f"{loop}_2",
+                       tokens=draw(st.integers(min_value=1, max_value=3)))
+        elif shape == "rate2":
+            g.set_rates(loop, 2, 2)
+            g.set_tokens(loop, draw(st.integers(min_value=2, max_value=5)))
+        elif shape == "drop" and len(g.in_edges(actor)) > 1:
+            g.remove_edge(loop)
+        elif shape == "unbalanced":
+            production = draw(st.integers(min_value=1, max_value=3))
+            consumption = draw(st.integers(min_value=1, max_value=3)
+                               .filter(lambda c: c != production))
+            g.set_rates(loop, production, consumption)
+            g.set_tokens(loop, consumption
+                         + draw(st.integers(min_value=0, max_value=3)))
+    return g
 
 
 @st.composite

@@ -10,6 +10,7 @@ all-ε rows and columns.
 
 from __future__ import annotations
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -18,10 +19,13 @@ from hypothesis import strategies as st
 
 pytest.importorskip("numpy")
 
-from oracle import assert_backends_agree
-from strategies import consistent_connected_sdf_graphs
+from oracle import assert_backends_agree, assert_symbolic_engines_agree
+from strategies import consistent_connected_sdf_graphs, symbolic_stress_graphs
 
+from repro.core.symbolic import symbolic_iteration
 from repro.graphs import TABLE1_CASES
+from repro.graphs.examples import figure3_graph
+from repro.kernels import NumericalGuardError
 from repro.kernels.maxplus import (
     from_dense,
     from_dense_vector,
@@ -124,6 +128,83 @@ def test_pure_self_loop_agreement():
         numpy_result, exact_result = assert_backends_agree(g, method)
         assert exact_result.cycle_time == Fraction(7, 2)
         assert numpy_result.cycle_time == Fraction(7, 2)
+
+
+# ----------------------------------------------------------------------
+# symbolic execution: block engine vs exact walk
+# ----------------------------------------------------------------------
+
+class TestSymbolicEngineAgreement:
+    """``symbolic_iteration(kernel="numpy")`` equals ``kernel="exact"``:
+    matrix, token ids, schedule and every start/completion stamp."""
+
+    @pytest.mark.parametrize("name", sorted(_CASES))
+    def test_registry(self, name):
+        assert assert_symbolic_engines_agree(_CASES[name].build()) is not None
+
+    def test_figure3_paper_schedule(self):
+        iteration = assert_symbolic_engines_agree(
+            figure3_graph(), schedule=["L", "L", "R"])
+        assert iteration.runs == (("L", 2), ("R", 1))
+
+    @pytest.mark.parametrize("schedule", [["R", "L", "L"], ["L", "L"]],
+                             ids=["inadmissible", "partial"])
+    def test_figure3_bad_schedules_raise_alike(self, schedule):
+        assert assert_symbolic_engines_agree(
+            figure3_graph(), schedule=schedule) is None
+
+    @given(g=symbolic_stress_graphs())
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.data_too_large])
+    def test_property(self, g):
+        assert_symbolic_engines_agree(g)
+
+
+def _long_path_graph(time):
+    """γ = (2, 1): the exactness bound is B = 2·time (``b`` takes 0)."""
+    from repro.sdf.graph import SDFGraph
+
+    g = SDFGraph("long-path")
+    g.add_actor("a", execution_time=time)
+    g.add_actor("b", execution_time=0)
+    g.add_edge("a", "a", tokens=1, name="self_a")
+    g.add_edge("a", "b", production=1, consumption=2)
+    g.add_edge("b", "a", production=2, consumption=1, tokens=2)
+    return g
+
+
+class TestSymbolicExactnessGuard:
+    def test_bound_at_two_to_the_53_trips(self):
+        g = _long_path_graph(2 ** 52)
+        with pytest.raises(NumericalGuardError):
+            symbolic_iteration(g, kernel="numpy")
+        auto = symbolic_iteration(g)
+        assert auto.matrix == symbolic_iteration(g, kernel="exact").matrix
+        assert_backends_agree(g, "symbolic", expect_fallback=True)
+
+    def test_bound_just_below_runs_exactly(self):
+        g = _long_path_graph(2 ** 52 - 1)
+        iteration = assert_symbolic_engines_agree(g)
+        assert max(x for row in iteration.matrix.rows for x in row) == (
+            2 ** 53 - 2)
+
+
+def test_numpy_iteration_pickles_without_arrays():
+    """The cache, the store and the process backend pickle iterations;
+    a block-engine result must load without numpy and rebuild equal
+    stamp maps."""
+    g = _CASES["satellite"].build()
+    exact = symbolic_iteration(g, kernel="exact")
+    payload = pickle.dumps(symbolic_iteration(g, kernel="numpy"))
+    assert b"numpy" not in payload
+    loaded = pickle.loads(payload)
+    assert loaded.matrix == exact.matrix
+    assert loaded.schedule == exact.schedule
+    assert loaded.firing_starts == exact.firing_starts
+    assert loaded.firing_completions == exact.firing_completions
+    reloaded = pickle.loads(pickle.dumps(loaded))
+    assert reloaded.firing_completions == exact.firing_completions
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,7 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from repro.analysis.throughput import throughput
+from repro.core.symbolic import symbolic_iteration
 from repro.kernels import (
     KernelUnavailableError,
     NumericalGuardError,
@@ -60,6 +61,18 @@ def _small_sdf(execution_time=3):
         g.add_edge(name, name, tokens=1, name=f"self_{name}")
     g.add_edge("x", "y")
     g.add_edge("y", "x", tokens=1)
+    return g
+
+
+def _fan_out_sdf():
+    """``x`` (self-timed, T = 1) feeds 2**13 firings of ``a`` (T = 2**40)
+    per iteration: the walk's bound Σγ·T reaches 2**53, while the 1×1
+    iteration matrix holds only x's period."""
+    g = SDFGraph("fan-out")
+    g.add_actor("x", execution_time=1)
+    g.add_actor("a", execution_time=2 ** 40)
+    g.add_edge("x", "x", tokens=1, name="self_x")
+    g.add_edge("x", "a", production=2 ** 13, consumption=1)
     return g
 
 
@@ -138,6 +151,9 @@ class TestKernelSelection:
             assert result.cycle_time == Fraction(4)
             assert result.provenance.kernel == "exact"
             assert result.provenance.degradation_reason is None
+            with pytest.raises(KernelUnavailableError):
+                symbolic_iteration(_small_sdf(), kernel="numpy")
+            assert len(symbolic_iteration(_small_sdf()).firing_starts) == 2
         finally:
             _reset_numpy_cache()
 
@@ -197,6 +213,24 @@ class TestGuardFallback:
             "repro_kernel_fallback_total", method="symbolic"
         ) == 1
 
+    def test_walk_trip_leaves_the_mcm_on_numpy(self, fresh_registry):
+        g = _fan_out_sdf()
+        with pytest.raises(NumericalGuardError):
+            symbolic_iteration(g, kernel="numpy")
+        with Tracer() as tracer:
+            result = throughput(g, kernel="numpy")
+        spans = {s.name: s for s in tracer.spans()}
+        assert spans["symbolic-conversion"].args["kernel_used"] == "exact"
+        assert spans["mcm-eigenvalue"].args["kernel_used"] == "numpy"
+        assert spans["throughput"].args["kernel_used"] == "exact"
+        assert result.cycle_time == Fraction(1)
+        record = result.provenance
+        assert record.kernel == "exact"
+        assert "longest-path bound" in record.degradation_reason
+        assert fresh_registry.value(
+            "repro_kernel_fallback_total", method="symbolic"
+        ) == 1
+
     def test_clean_run_records_no_fallback(self, fresh_registry):
         result = throughput(_small_sdf(), kernel="numpy")
         assert result.provenance.kernel == "numpy"
@@ -216,6 +250,7 @@ class TestObservability:
         spans = {s.name: s for s in tracer.spans()}
         assert spans["throughput"].args["kernel"] == "numpy"
         assert spans["throughput"].args["kernel_used"] == "numpy"
+        assert spans["symbolic-conversion"].args["kernel_used"] == "numpy"
         assert spans["mcm-eigenvalue"].args["kernel_used"] == "numpy"
 
     def test_fallback_visible_on_spans(self):
@@ -227,6 +262,7 @@ class TestObservability:
         spans = {s.name: s for s in tracer.spans()}
         assert spans["throughput"].args["kernel"] == "numpy"   # selected
         assert spans["throughput"].args["kernel_used"] == "exact"
+        assert spans["symbolic-conversion"].args["kernel_used"] == "exact"
         assert spans["mcm-eigenvalue"].args["kernel_used"] == "exact"
 
     def test_provenance_kernel_round_trip(self):

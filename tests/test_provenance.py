@@ -19,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import ticking_deadlines
 from strategies import consistent_connected_sdf_graphs
 
 from repro.analysis.cache import AnalysisCache
@@ -268,15 +269,18 @@ class TestTamperDetection:
 # fallback tiers
 # ----------------------------------------------------------------------
 
-#: Starves the exact tiers so Theorem 1 answers (deterministic in CI).
+#: Starves the exact tiers so Theorem 1 answers.  Deterministic on any
+#: host: the budgets run on a ticking clock (2 ms per read), so both
+#: exact tiers time out at their first poll.
 FORCE_FALLBACK = {"simulation": 0.001, "symbolic": 0.001}
 
 
 class TestTierProvenance:
     def test_conservative_outcome_names_degradation_and_witness(self):
         graph = mp3_playback()
-        outcome = AnalysisPolicy(
-            timeout=30.0, stage_timeouts=FORCE_FALLBACK).run(graph)
+        with ticking_deadlines():
+            outcome = AnalysisPolicy(
+                timeout=30.0, stage_timeouts=FORCE_FALLBACK).run(graph)
         assert outcome.status == "conservative-bound"
         record = outcome.record
         assert record is not None and record.status == "conservative-bound"

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ticking_deadlines
 from strategies import consistent_connected_sdf_graphs, live_hsdf_graphs
 
 from repro.analysis.cache import AnalysisCache
@@ -30,6 +31,9 @@ from repro.sdf.graph import SDFGraph
 
 #: Stage timeouts that starve every exact stage while leaving the
 #: abstraction stage unbounded-ish — forces the Theorem 1 fallback.
+#: Tests using it run under ``ticking_deadlines()``: every clock read
+#: advances 2 ms, so both exact stages time out at their first poll on
+#: any host, and the abstraction stage still gets thousands of polls.
 FORCE_FALLBACK = {"simulation": 0.001, "symbolic": 0.001}
 
 
@@ -47,7 +51,8 @@ class TestExactPath:
 
     def test_failed_stages_recorded_in_provenance(self):
         policy = AnalysisPolicy(timeout=30.0, stage_timeouts=FORCE_FALLBACK)
-        outcome = policy.run(mp3_playback())
+        with ticking_deadlines():
+            outcome = policy.run(mp3_playback())
         stages = [a.stage for a in outcome.provenance]
         assert stages[:2] == ["simulation", "symbolic"]
         assert all(a.status == "timeout" for a in outcome.provenance[:2])
@@ -64,6 +69,11 @@ class TestExactPath:
 
 
 class TestConservativeFallback:
+    @pytest.fixture(autouse=True)
+    def ticking_clock(self):
+        with ticking_deadlines():
+            yield
+
     @pytest.mark.parametrize("factory", [mp3_playback, satellite_receiver])
     def test_fallback_bound_is_sound_on_registry(self, factory):
         g = factory()
@@ -137,17 +147,27 @@ class TestConservativeFallback:
         assert exact.cycle_time == throughput(g).cycle_time
 
 
+def _starved_exact_tiers(outcome) -> bool:
+    """Whether both exact tiers ran and timed out (so the answer, if
+    any, came from the Theorem 1 tier)."""
+    return [(a.stage, a.status) for a in outcome.provenance[:2]] == [
+        ("simulation", "timeout"), ("symbolic", "timeout")]
+
+
 class TestSoundnessProperties:
-    """Hypothesis: the fallback answer is never optimistic."""
+    """Hypothesis: the fallback answer is never optimistic.  Budgets run
+    on a ticking clock, so every example reaches the fallback tier."""
 
     @given(g=live_hsdf_graphs(max_actors=6))
     @settings(max_examples=40, deadline=None)
     def test_homogeneous_fallback_never_exceeds_exact_throughput(self, g):
         policy = AnalysisPolicy(timeout=30.0, stage_timeouts=FORCE_FALLBACK)
         try:
-            outcome = policy.run(g)
+            with ticking_deadlines():
+                outcome = policy.run(g)
         except DeadlockError:
             return  # definitive verdict, nothing to bound
+        assert _starved_exact_tiers(outcome)
         if outcome.status == TIMED_OUT or outcome.unbounded:
             return
         exact = throughput(g)
@@ -165,9 +185,11 @@ class TestSoundnessProperties:
         sound upper bound on the true iteration period."""
         policy = AnalysisPolicy(timeout=30.0, stage_timeouts=FORCE_FALLBACK)
         try:
-            outcome = policy.run(g)
+            with ticking_deadlines():
+                outcome = policy.run(g)
         except DeadlockError:
             return
+        assert _starved_exact_tiers(outcome)
         if outcome.status == TIMED_OUT or outcome.unbounded:
             return
         exact = throughput(g)
@@ -187,7 +209,8 @@ class TestSoundnessProperties:
 
         fingerprint = g.fingerprint()
         try:
-            first = throughput(g, deadline=Deadline.after(budget))
+            with ticking_deadlines():
+                first = throughput(g, deadline=Deadline.after(budget))
         except AnalysisTimeout:
             first = None
         except DeadlockError:

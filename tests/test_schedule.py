@@ -1,14 +1,129 @@
 """Sequential schedules and liveness."""
 
+from collections import deque
+from itertools import groupby
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import replay_schedule
+from strategies import consistent_connected_sdf_graphs
 from repro.errors import DeadlockError
 from repro.graphs import TABLE1_CASES
 from repro.graphs.examples import figure3_graph, section41_example
 from repro.sdf.graph import SDFGraph
 from repro.sdf.repetition import repetition_vector
-from repro.sdf.schedule import is_live, sequential_schedule
+from repro.sdf.schedule import block_schedule, is_live, sequential_schedule
+
+
+def greedy_schedule(graph, repetitions):
+    """Reference: the demand-free greedy simulation one firing at a time
+    (worklist in actor order; an actor fires while enabled, then its
+    successors and itself re-enter the worklist).  Returns the firing
+    list or raises DeadlockError like the library does."""
+    remaining = dict(repetitions)
+    tokens = {e.name: e.tokens for e in graph.edges}
+    schedule = []
+
+    def enabled(actor):
+        return remaining[actor] > 0 and all(
+            tokens[e.name] >= e.consumption for e in graph.in_edges(actor))
+
+    queue = deque(graph.actor_names)
+    queued = set(queue)
+    while queue:
+        actor = queue.popleft()
+        queued.discard(actor)
+        fired = False
+        while enabled(actor):
+            for e in graph.in_edges(actor):
+                tokens[e.name] -= e.consumption
+            for e in graph.out_edges(actor):
+                tokens[e.name] += e.production
+            remaining[actor] -= 1
+            schedule.append(actor)
+            fired = True
+        if fired:
+            for target in [e.target for e in graph.out_edges(actor)] + [actor]:
+                if remaining[target] > 0 and target not in queued:
+                    queue.append(target)
+                    queued.add(target)
+    total = sum(repetitions.values())
+    if len(schedule) != total:
+        blocked = {a: r for a, r in remaining.items() if r > 0}
+        raise DeadlockError(
+            f"graph {graph.name!r} deadlocks: "
+            f"{total - len(schedule)} of {total} firings could not be "
+            f"scheduled (blocked actors: {sorted(blocked)})",
+            blocked=blocked,
+        )
+    return schedule
+
+
+@st.composite
+def arbitrary_rate_graphs(draw):
+    """Any rates, tokens and self-loop shapes (``p ≠ c`` included) with
+    an arbitrary firing-count vector: consistency is not required, and
+    many draws deadlock."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    g = SDFGraph("arbitrary")
+    for i in range(n):
+        g.add_actor(f"a{i}")
+    rate = st.integers(min_value=1, max_value=3)
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        source = draw(st.integers(min_value=0, max_value=n - 1))
+        target = draw(st.integers(min_value=0, max_value=n - 1))
+        g.add_edge(f"a{source}", f"a{target}", draw(rate), draw(rate),
+                   draw(st.integers(min_value=0, max_value=5)))
+    repetitions = {
+        a: draw(st.integers(min_value=0, max_value=5)) for a in g.actor_names
+    }
+    return g, repetitions
+
+
+def _outcome(schedule_fn, graph, repetitions):
+    try:
+        return schedule_fn(graph, repetitions), None
+    except DeadlockError as error:
+        return None, (str(error), error.blocked)
+
+
+class TestBlockSchedule:
+    """``block_schedule`` run-length-decodes to the greedy one-firing-at-
+    a-time order, and deadlocks the same way."""
+
+    @given(case=arbitrary_rate_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_decodes_to_greedy_order(self, case):
+        graph, repetitions = case
+        runs, error = _outcome(block_schedule, graph, repetitions)
+        greedy, greedy_error = _outcome(greedy_schedule, graph, repetitions)
+        assert error == greedy_error
+        if error is None:
+            assert runs == [(a, len(list(group)))
+                            for a, group in groupby(greedy)]
+            assert all(count > 0 for _, count in runs)
+            assert sequential_schedule(graph, repetitions) == greedy
+
+    @given(g=consistent_connected_sdf_graphs(max_extra_tokens=2),
+           data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_default_repetitions_match_greedy(self, g, data):
+        for edge in g.edges:  # drop tokens now and then: some deadlock
+            if data.draw(st.booleans()):
+                g.set_tokens(edge.name, max(0, edge.tokens - 1))
+        gamma = repetition_vector(g)
+        assert (_outcome(sequential_schedule, g, None)
+                == _outcome(greedy_schedule, g, gamma))
+
+    @pytest.mark.parametrize("case", TABLE1_CASES, ids=lambda c: c.name)
+    def test_registry_runs(self, case):
+        g = case.build()
+        runs = block_schedule(g)
+        assert sum(count for _, count in runs) == case.paper_traditional
+        assert [a for a, k in runs for _ in range(k)] == greedy_schedule(
+            g, repetition_vector(g))
 
 
 class TestScheduleConstruction:

@@ -41,7 +41,9 @@ from repro.analysis.store import (
     canonical_params,
     key_digest,
 )
+from repro.analysis.batch import run_batch
 from repro.analysis.throughput import throughput
+from repro.core.symbolic import SymbolicIteration, symbolic_iteration
 from repro.graphs.examples import figure3_graph
 
 PARAMS = {"method": "symbolic"}
@@ -73,6 +75,30 @@ def _populated(root) -> tuple:
 def _record_file(store: ResultStore, graph) -> Path:
     digest = key_digest(graph.fingerprint(), "throughput", PARAMS)
     return store._record_path(digest)
+
+
+class _EarlierPickle:
+    """Pickles as an instance of ``cls`` whose state is ``state``: it
+    loads like what an earlier layout of ``cls`` wrote."""
+
+    def __init__(self, cls, state):
+        self.cls, self.state = cls, state
+
+    def __reduce__(self):
+        return object.__new__, (self.cls,), self.state
+
+
+def _per_firing_iteration(graph) -> _EarlierPickle:
+    """A ``SymbolicIteration`` as pickled before it kept per-run start
+    stamps: a dataclass holding the schedule and both firing maps."""
+    iteration = symbolic_iteration(graph)
+    return _EarlierPickle(SymbolicIteration, {
+        "matrix": iteration.matrix,
+        "token_ids": iteration.token_ids,
+        "schedule": iteration.schedule,
+        "firing_starts": iteration.firing_starts,
+        "firing_completions": iteration.firing_completions,
+    })
 
 
 class TestRecordRoundTrip:
@@ -466,6 +492,36 @@ class TestCacheDiskTier:
         assert stats.disk_quarantined == 1
         assert stats.disk_misses == 1 and stats.disk_hits == 0
         assert result.cycle_time == _reference()[1].cycle_time
+
+    def test_per_firing_iteration_record_is_recomputed(self, tmp_path):
+        """A symbolic_iteration record in the earlier per-firing layout
+        is quarantined and recomputed, never served half-loaded."""
+        graph = figure3_graph()
+        earlier = _per_firing_iteration(graph)
+        with pytest.raises(TypeError):
+            pickle.loads(pickle.dumps(earlier))
+        store = ResultStore(tmp_path)
+        assert store.put(graph.fingerprint(), "symbolic_iteration", earlier)
+        cache = AnalysisCache(maxsize=8, store=store)
+        served = cache.symbolic_iteration(graph)
+        stats = cache.stats()
+        assert (stats.disk_quarantined, stats.disk_hits) == (1, 0)
+        assert served == symbolic_iteration(graph)
+        assert pickle.loads(pickle.dumps(served)) == served
+
+    def test_per_firing_iteration_record_on_process_backend(self, tmp_path):
+        graph = figure3_graph()
+        store = ResultStore(tmp_path)
+        assert store.put(graph.fingerprint(), "symbolic_iteration",
+                         _per_firing_iteration(graph))
+        report = run_batch([graph], analyses=("symbolic_iteration",),
+                           backend="process", workers=1,
+                           cache=AnalysisCache(maxsize=8), store=tmp_path)
+        (result,) = report.results
+        assert result.ok, result.error
+        assert result.values["symbolic_iteration"] == symbolic_iteration(
+            graph)
+        assert ResultStore(tmp_path).stats().quarantined_records == 1
 
     def test_disk_counters_in_snapshot_invariants(self, tmp_path):
         graph, _ = _reference()

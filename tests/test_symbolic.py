@@ -7,8 +7,15 @@ import random
 
 import pytest
 
-from repro.errors import DeadlockError, UnboundedThroughputError, ValidationError
+from repro.analysis.deadline import CancelToken, Deadline
+from repro.errors import (
+    AnalysisCancelled,
+    DeadlockError,
+    UnboundedThroughputError,
+    ValidationError,
+)
 from repro.graphs.examples import figure3_graph
+from repro.graphs.multimedia import mp3_playback
 from repro.graphs.random_sdf import random_consistent_sdf
 from repro.maxplus.algebra import EPSILON
 from repro.maxplus.matrix import MaxPlusVector
@@ -143,3 +150,68 @@ class TestMatrixShape:
         token = fig3_iteration.token_ids[2]
         assert fig3_iteration.token_index(token) == 2
         assert token == TokenId("t2", 0)
+
+
+def _kernel_param(kernel):
+    if kernel == "numpy":
+        pytest.importorskip("numpy")
+    return kernel
+
+
+class CountingDeadline(Deadline):
+    """An unlimited deadline that counts its clock consultations."""
+
+    def __init__(self):
+        super().__init__(budget=None)
+        self.polls = 0
+
+    def check_now(self):
+        self.polls += 1
+        super().check_now()
+
+
+class TestEngines:
+    """Both engines walk the run schedule and report the same progress."""
+
+    @pytest.mark.parametrize("kernel", ["exact", "numpy"])
+    def test_cancel_reports_symbolic_progress(self, kernel):
+        token = CancelToken()
+        token.cancel("shutdown")
+        with pytest.raises(AnalysisCancelled) as excinfo:
+            symbolic_iteration(mp3_playback(), kernel=_kernel_param(kernel),
+                               deadline=Deadline(budget=None, token=token))
+        assert excinfo.value.stage == "symbolic-iteration"
+        assert excinfo.value.progress == {"firing": 0, "firings_total": 10601}
+
+    def test_block_engine_polls_once_per_run(self):
+        deadline = CountingDeadline()
+        iteration = symbolic_iteration(
+            mp3_playback(), kernel=_kernel_param("numpy"), deadline=deadline)
+        assert deadline.polls == len(iteration.runs) == 18
+
+    @pytest.mark.parametrize("kernel", ["exact", "numpy"])
+    def test_runs_expand_to_the_schedule(self, fig3, kernel):
+        iteration = symbolic_iteration(fig3, kernel=_kernel_param(kernel))
+        assert iteration.schedule == [
+            actor for actor, count in iteration.runs for _ in range(count)]
+        assert iteration.schedule == sequential_schedule(fig3)
+        assert len(iteration.firing_starts) == len(iteration.schedule)
+
+    def test_given_repetitions_are_used(self, fig3):
+        from repro.sdf.repetition import repetition_vector
+
+        double = {a: 2 * g for a, g in repetition_vector(fig3).items()}
+        iteration = symbolic_iteration(fig3, repetitions=double)
+        assert len(iteration.schedule) == 2 * len(sequential_schedule(fig3))
+
+    def test_equality_and_repr(self, fig3):
+        exact = symbolic_iteration(fig3, kernel="exact")
+        assert symbolic_iteration(fig3, kernel=_kernel_param("numpy")) == exact
+        assert exact != symbolic_iteration(mp3_playback(), kernel="exact")
+        assert repr(exact) == (
+            f"SymbolicIteration({exact.token_count} tokens, "
+            f"{len(exact.schedule)} firings in {len(exact.runs)} runs)")
+
+    def test_unknown_kernel_rejected(self, fig3):
+        with pytest.raises(ValueError):
+            symbolic_iteration(fig3, kernel="cuda")
