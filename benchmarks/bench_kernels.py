@@ -4,24 +4,24 @@ Four measurements, persisted to ``BENCH_kernels.json`` at the
 repository root (``repro-bench-v1`` schema, see
 ``benchmarks/bench_common.py``):
 
-* **Karp MCM** on a large random strongly connected unit-transit graph
-  (the scalability corpus the symbolic back-end faces after Algorithm-1
-  conversion) — ``karp_mcm_numpy`` vs ``karp_mcm``;
+* **max-plus eigenvalue** of two Algorithm-1 iteration matrices —
+  ``critical_cycle(kernel="numpy")`` vs ``kernel="exact"``: a
+  ``random_consistent_sdf`` graph's matrix of order 64 (the shape of
+  perfbench's ``random-mcm`` pool, ~80% finite) and the order-600
+  matrix of a ring of 300 self-looped actors (two finite entries per
+  row, 0.3% dense);
 * **Howard MCR** on a large random transit graph — ``howard_mcr_numpy``
   vs ``howard_mcr``;
-* **dense max-plus product** — broadcast-add matmul vs
-  :meth:`MaxPlusMatrix.multiply`;
 * **self-timed simulation** of the registry graph with the busiest
   state space the exact engine still explores quickly — vectorized
   per-instant firing passes vs the reference event loop.
 
 Every timed pair first asserts *bit-identical* results (the kernels'
 whole contract); the speedup entries carry their asserted floors as
-``baseline`` so `repro.obs.check` flags a regression below them.  The
-headline criterion — >= 10x on the large-random/scalability corpus —
-is asserted on the Karp and max-plus entries; Howard (certification
-amortises more slowly) and simulation assert a >= 2x floor and report
-the measured figure honestly.
+``baseline`` so `repro.obs.check` flags a regression below them.  Both
+eigenvalue entries assert >= 10x; Howard (certification amortises more
+slowly) and simulation assert a >= 2x floor and report the measured
+figure honestly.
 """
 
 from __future__ import annotations
@@ -32,15 +32,15 @@ import time
 from fractions import Fraction
 
 from bench_common import entry, write_bench
+from repro.core.symbolic import symbolic_iteration
 from repro.graphs import TABLE1_CASES
-from repro.kernels.maxplus import from_dense, mp_matmul, to_dense
-from repro.kernels.mcm import howard_mcr_numpy, karp_mcm_numpy
+from repro.graphs.random_sdf import random_consistent_sdf
+from repro.kernels.mcm import howard_mcr_numpy
 from repro.kernels.simulation import simulation_throughput_numpy
-from repro.maxplus.algebra import EPSILON
-from repro.maxplus.matrix import MaxPlusMatrix
+from repro.maxplus.spectral import critical_cycle
 from repro.mcm.graphlib import RatioGraph
 from repro.mcm.howard import howard_mcr
-from repro.mcm.karp import karp_mcm
+from repro.sdf.graph import SDFGraph
 from repro.sdf.simulation import simulation_throughput
 
 BENCH_FILE = (
@@ -51,8 +51,7 @@ BENCH_FILE = (
 REPEATS = 3
 
 #: Asserted speedup floors (also the ``baseline`` of each entry).
-KARP_FLOOR = 10.0
-MAXPLUS_FLOOR = 10.0
+EIGENVALUE_FLOOR = 10.0
 HOWARD_FLOOR = 2.0
 SIMULATION_FLOOR = 2.0
 
@@ -71,41 +70,62 @@ def _best_of(repeats: int, fn) -> float:
     return best
 
 
-def _random_ratio_graph(nodes: int, edges: int, seed: int,
-                        unit_transit: bool) -> RatioGraph:
+def _random_ratio_graph(nodes: int, edges: int, seed: int) -> RatioGraph:
     """Strongly connected (ring + chords) with drawn integer weights.
 
-    Chord transits are drawn from 1..3 when ``unit_transit`` is off —
-    never 0, so Howard's zero-transit-cycle precondition always holds.
+    Transits are drawn from 1..3 — never 0, so Howard's
+    zero-transit-cycle precondition always holds.
     """
     rng = random.Random(seed)
     g = RatioGraph()
     for i in range(nodes):
         g.add_node(i)
-
-    def transit() -> int:
-        return 1 if unit_transit else rng.randint(1, 3)
-
     for i in range(nodes):
         g.add_edge(i, (i + 1) % nodes, Fraction(rng.randint(1, 50)),
-                   transit(), key=f"ring{i}")
+                   rng.randint(1, 3), key=f"ring{i}")
     for j in range(edges - nodes):
         g.add_edge(rng.randrange(nodes), rng.randrange(nodes),
-                   Fraction(rng.randint(1, 50)), transit(), key=f"chord{j}")
+                   Fraction(rng.randint(1, 50)), rng.randint(1, 3),
+                   key=f"chord{j}")
     return g
 
 
-def measure_karp(nodes: int = 300, edges: int = 1500) -> dict:
-    graph = _random_ratio_graph(nodes, edges, seed=20090726,
-                                unit_transit=True)
-    exact = karp_mcm(graph)
-    vectorized = karp_mcm_numpy(graph)
+def pool_matrix(order: int = 64):
+    """Iteration matrix of the first ``random_consistent_sdf`` graph (the
+    ``random-mcm`` pool's generator) whose matrix has ``order``."""
+    rng = random.Random(20090726)
+    while True:
+        graph = random_consistent_sdf(rng, n_actors=16, extra_edges=12,
+                                      max_repetition=4)
+        if sum(edge.tokens for edge in graph.edges) == order:
+            return symbolic_iteration(graph).matrix
+
+
+def ring_matrix(actors: int = 300):
+    """Iteration matrix of ``actors`` self-looped actors on a one-token
+    ring: order ``2·actors``, two finite entries per row."""
+    rng = random.Random(20090726)
+    graph = SDFGraph("ring")
+    names = [f"a{i}" for i in range(actors)]
+    for name in names:
+        graph.add_actor(name, rng.randint(1, 50))
+        graph.add_edge(name, name, tokens=1)
+    for source, target in zip(names, names[1:] + names[:1]):
+        graph.add_edge(source, target, tokens=1)
+    return symbolic_iteration(graph).matrix
+
+
+def measure_eigenvalue(matrix) -> dict:
+    exact = critical_cycle(matrix, kernel="exact")
+    vectorized = critical_cycle(matrix, kernel="numpy")
     assert vectorized.value == exact.value  # bit identity first
 
-    exact_seconds = _best_of(REPEATS, lambda: karp_mcm(graph))
-    numpy_seconds = _best_of(REPEATS, lambda: karp_mcm_numpy(graph))
+    exact_seconds = _best_of(
+        REPEATS, lambda: critical_cycle(matrix, kernel="exact"))
+    numpy_seconds = _best_of(
+        max(REPEATS, 10), lambda: critical_cycle(matrix, kernel="numpy"))
     return {
-        "nodes": nodes, "edges": edges,
+        "order": matrix.nrows, "finite": matrix.finite_entry_count(),
         "value": str(exact.value),
         "exact_seconds": round(exact_seconds, 6),
         "numpy_seconds": round(numpy_seconds, 6),
@@ -114,8 +134,7 @@ def measure_karp(nodes: int = 300, edges: int = 1500) -> dict:
 
 
 def measure_howard(nodes: int = 1200, edges: int = 6000) -> dict:
-    graph = _random_ratio_graph(nodes, edges, seed=20090726,
-                                unit_transit=False)
+    graph = _random_ratio_graph(nodes, edges, seed=20090726)
     exact = howard_mcr(graph)
     vectorized = howard_mcr_numpy(graph)
     assert vectorized.value == exact.value
@@ -125,28 +144,6 @@ def measure_howard(nodes: int = 1200, edges: int = 6000) -> dict:
     return {
         "nodes": nodes, "edges": edges,
         "value": str(exact.value),
-        "exact_seconds": round(exact_seconds, 6),
-        "numpy_seconds": round(numpy_seconds, 6),
-        "speedup": round(exact_seconds / numpy_seconds, 2),
-    }
-
-
-def measure_maxplus(size: int = 100, density: float = 0.6) -> dict:
-    rng = random.Random(20090726)
-    matrix = MaxPlusMatrix([
-        [rng.randint(0, 10 ** 6) if rng.random() < density else EPSILON
-         for _ in range(size)]
-        for _ in range(size)
-    ])
-    dense = to_dense(matrix)
-    assert from_dense(mp_matmul(dense, dense)).rows == \
-        matrix.multiply(matrix).rows
-
-    exact_seconds = _best_of(REPEATS, lambda: matrix.multiply(matrix))
-    numpy_seconds = _best_of(
-        max(REPEATS, 10), lambda: mp_matmul(dense, dense))
-    return {
-        "size": size, "density": density,
         "exact_seconds": round(exact_seconds, 6),
         "numpy_seconds": round(numpy_seconds, 6),
         "speedup": round(exact_seconds / numpy_seconds, 2),
@@ -173,25 +170,27 @@ def measure_simulation() -> dict:
     }
 
 
-def _entries(karp: dict, howard: dict, maxplus: dict, simulation: dict) -> list:
+def _eigenvalue_entries(prefix: str, measured: dict) -> list:
     return [
-        entry("karp_speedup", "x", karp["speedup"], baseline=KARP_FLOOR,
-              nodes=karp["nodes"], edges=karp["edges"],
+        entry(f"{prefix}_speedup", "x", measured["speedup"],
+              baseline=EIGENVALUE_FLOOR, order=measured["order"],
+              finite=measured["finite"],
               note="baseline is the asserted floor"),
-        entry("karp_exact_seconds", "s", karp["exact_seconds"]),
-        entry("karp_numpy_seconds", "s", karp["numpy_seconds"]),
+        entry(f"{prefix}_exact_seconds", "s", measured["exact_seconds"]),
+        entry(f"{prefix}_numpy_seconds", "s", measured["numpy_seconds"]),
+    ]
+
+
+def _entries(pool: dict, ring: dict, howard: dict, simulation: dict) -> list:
+    return [
+        *_eigenvalue_entries("eigenvalue_pool", pool),
+        *_eigenvalue_entries("eigenvalue_ring", ring),
         entry("howard_speedup", "x", howard["speedup"],
               baseline=HOWARD_FLOOR, nodes=howard["nodes"],
               edges=howard["edges"],
               note="baseline is the asserted floor"),
         entry("howard_exact_seconds", "s", howard["exact_seconds"]),
         entry("howard_numpy_seconds", "s", howard["numpy_seconds"]),
-        entry("maxplus_matmul_speedup", "x", maxplus["speedup"],
-              baseline=MAXPLUS_FLOOR, size=maxplus["size"],
-              density=maxplus["density"],
-              note="baseline is the asserted floor"),
-        entry("maxplus_matmul_exact_seconds", "s", maxplus["exact_seconds"]),
-        entry("maxplus_matmul_numpy_seconds", "s", maxplus["numpy_seconds"]),
         entry("simulation_speedup", "x", simulation["speedup"],
               baseline=SIMULATION_FLOOR, graph=simulation["graph"],
               period=simulation["period"],
@@ -202,38 +201,37 @@ def _entries(karp: dict, howard: dict, maxplus: dict, simulation: dict) -> list:
 
 
 def test_kernel_baseline(report):
-    karp = measure_karp()
+    pool = measure_eigenvalue(pool_matrix())
+    ring = measure_eigenvalue(ring_matrix())
     howard = measure_howard()
-    maxplus = measure_maxplus()
     simulation = measure_simulation()
 
     report("Kernels: numpy vs exact, bit-identical results "
            "(BENCH_kernels.json)")
-    report(f"Karp MCM, random n={karp['nodes']} m={karp['edges']}: "
-           f"exact {karp['exact_seconds']:.3f}s, "
-           f"numpy {karp['numpy_seconds']:.3f}s "
-           f"({karp['speedup']:.1f}x, floor {KARP_FLOOR:.0f}x)")
+    for label, measured in (("random-mcm pool", pool), ("sparse ring", ring)):
+        report(f"eigenvalue, {label} matrix of order {measured['order']} "
+               f"({measured['finite']} finite): "
+               f"exact {measured['exact_seconds'] * 1e3:.2f}ms, "
+               f"numpy {measured['numpy_seconds'] * 1e3:.2f}ms "
+               f"({measured['speedup']:.0f}x, "
+               f"floor {EIGENVALUE_FLOOR:.0f}x)")
     report(f"Howard MCR, random n={howard['nodes']} m={howard['edges']}: "
            f"exact {howard['exact_seconds']:.3f}s, "
            f"numpy {howard['numpy_seconds']:.3f}s "
            f"({howard['speedup']:.1f}x, floor {HOWARD_FLOOR:.0f}x)")
-    report(f"max-plus matmul {maxplus['size']}x{maxplus['size']}: "
-           f"exact {maxplus['exact_seconds']:.3f}s, "
-           f"numpy {maxplus['numpy_seconds']:.4f}s "
-           f"({maxplus['speedup']:.0f}x, floor {MAXPLUS_FLOOR:.0f}x)")
     report(f"self-timed simulation of {simulation['graph']}: "
            f"exact {simulation['exact_seconds']:.3f}s, "
            f"numpy {simulation['numpy_seconds']:.3f}s "
            f"({simulation['speedup']:.1f}x, floor {SIMULATION_FLOOR:.0f}x)")
     write_bench(BENCH_FILE, "kernels",
-                _entries(karp, howard, maxplus, simulation))
+                _entries(pool, ring, howard, simulation))
     report(f"written to {BENCH_FILE.name}")
     report.save("kernels")
 
-    # Acceptance: the scalability corpus clears the 10x criterion and
+    # Acceptance: both eigenvalue matrices clear the 10x criterion and
     # nothing regresses below its floor.
-    assert karp["speedup"] >= KARP_FLOOR
-    assert maxplus["speedup"] >= MAXPLUS_FLOOR
+    assert pool["speedup"] >= EIGENVALUE_FLOOR
+    assert ring["speedup"] >= EIGENVALUE_FLOOR
     assert howard["speedup"] >= HOWARD_FLOOR
     assert simulation["speedup"] >= SIMULATION_FLOOR
 
@@ -243,7 +241,8 @@ if __name__ == "__main__":  # standalone: regenerate the JSON baseline
 
     doc = write_bench(
         BENCH_FILE, "kernels",
-        _entries(measure_karp(), measure_howard(), measure_maxplus(),
+        _entries(measure_eigenvalue(pool_matrix()),
+                 measure_eigenvalue(ring_matrix()), measure_howard(),
                  measure_simulation()),
     )
     print(json.dumps(doc, indent=2))

@@ -6,37 +6,37 @@ The exact analyses (:mod:`repro.maxplus`, :mod:`repro.mcm`,
 cap the throughput of every layer above (batch tier, resilience tiers).
 This package provides array-backed equivalents of the hot loops:
 
-* Karp's maximum cycle mean as vectorized Bellman sweeps over a
-  CSR-style :class:`~repro.kernels.arraygraph.ArrayGraph`
-  (:func:`~repro.kernels.mcm.karp_mcm_numpy`);
-* Howard's policy iteration with array-based improvement stages
-  (:func:`~repro.kernels.mcm.howard_mcr_numpy`);
-* the self-timed state-space simulation with a vectorized enabling/
-  firing step (:func:`~repro.kernels.simulation.
-  simulation_throughput_numpy`);
-* a dense max-plus semiring module (batched ``np.maximum`` +
-  broadcast-add matrix product, :mod:`repro.kernels.maxplus`);
 * Algorithm 1's symbolic execution as one array step per schedule run
   (:func:`~repro.kernels.symbolic.block_walk`), exact by an a-priori
-  ``2**53`` bound on its integer stamps.
+  ``2**53`` bound on its integer stamps;
+* the max-plus eigenvalue of the resulting iteration matrix: Karp from
+  a zero super-source over the matrix's finite entries, with an exact
+  backtrack of the critical walk and an int64 Bellman-fixpoint
+  certificate (:func:`~repro.kernels.maxplus.critical_cycle_numpy`);
+* Howard's policy iteration with array-based improvement stages over a
+  CSR :class:`~repro.kernels.arraygraph.ArrayGraph`, for
+  ``method="hsdf"`` (:func:`~repro.kernels.mcm.howard_mcr_numpy`);
+* the self-timed state-space simulation with a vectorized enabling/
+  firing step (:func:`~repro.kernels.simulation.
+  simulation_throughput_numpy`).
 
 **The numpy kernels return the same exact results as the reference
-implementations.**  Floating point is used only to *search* for a
-candidate critical cycle; the reported value is re-derived exactly from
-the original :class:`~repro.mcm.graphlib.RatioEdge` objects and then
-*certified* optimal with an exact integer Bellman–Ford sweep.  Any
-numerical doubt — weights too large for exact float64 sums, a tolerance
-check tripping, a failed certification — raises
-:class:`NumericalGuardError`, and callers fall back to the exact kernel
-(recorded as ``degradation_reason`` in provenance).  Because results
-are bit-identical, cache entries are shared between backends and the
+implementations.**  Floating point is used only where it is provably
+exact or to *search* for a candidate critical cycle; the reported
+value is re-derived exactly from the cycle's own entries and then
+*certified* optimal with exact integer arithmetic.  Any numerical
+doubt — weights too large for exact float64 sums, int64 overflow risk,
+a failed certificate — raises :class:`NumericalGuardError`, and
+callers fall back to the exact kernel (recorded as
+``degradation_reason`` in provenance).  Because results are
+bit-identical, cache entries are shared between backends and the
 kernel is *not* part of the cache key.
 
 numpy itself is imported lazily: with numpy absent, ``kernel="auto"``
 resolves to the exact backend and only an explicit ``kernel="numpy"``
 raises :class:`KernelUnavailableError`.
 
-See ``docs/kernels.md`` for the array layout, the tolerance policy and
+See ``docs/kernels.md`` for the array layouts, the certificates and
 the differential-oracle testing recipe (``tests/test_kernel_oracle.py``).
 """
 

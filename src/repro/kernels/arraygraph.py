@@ -1,8 +1,8 @@
 """CSR-style array adjacency for :class:`~repro.mcm.graphlib.RatioGraph`.
 
-:class:`ArrayGraph` is the shared substrate of the numpy MCM kernels.
-It freezes one strongly connected ratio graph (a nontrivial SCC of a
-max-plus precedence graph or of an HSDF cycle-ratio graph) into flat
+:class:`ArrayGraph` is the substrate of the numpy Howard kernel, which
+serves ``throughput(method="hsdf")``.  It freezes one strongly connected
+ratio graph (a nontrivial SCC of an HSDF cycle-ratio graph) into flat
 arrays:
 
 * ``nodes`` / ``edges`` keep the original node labels and
@@ -21,9 +21,10 @@ arrays:
   :class:`~repro.kernels.backend.NumericalGuardError` and the caller
   falls back to the exact kernel.
 * Two CSR index layers: ``in_order``/``in_indptr`` group edge indices
-  by target node (Karp's per-node max over incoming relaxations via
-  ``np.maximum.reduceat``) and ``out_order``/``out_indptr`` group them
-  by source node (Howard's per-node policy improvement).
+  by target node (the certificate's per-node max over incoming
+  relaxations via ``np.maximum.reduceat``) and ``out_order``/
+  ``out_indptr`` group them by source node (Howard's per-node policy
+  improvement).
 
 Because the graph is strongly connected with at least one edge, every
 node has both an incoming and an outgoing edge — so every CSR segment

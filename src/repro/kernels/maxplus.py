@@ -1,132 +1,212 @@
-"""Dense numpy max-plus semiring operations.
+"""Array-native maximum cycle mean of a square max-plus matrix.
 
-The exact :class:`~repro.maxplus.matrix.MaxPlusMatrix` stores Fractions
-row-major and multiplies with Python loops.  This module provides the
-array equivalents — ``ε`` is ``-inf`` and the semiring product is a
-broadcast-add followed by a batched ``np.maximum`` reduction::
+The max-plus eigenvalue of ``M`` is the maximum cycle mean of its
+precedence graph: an edge ``j → i`` of weight ``M[i][j]`` for every
+finite entry.  :func:`critical_cycle_numpy` computes it straight from
+the matrix rows, without building a :class:`~repro.mcm.graphlib.
+RatioGraph`, splitting it into SCCs or re-encoding each one:
 
-    (A ⊗ B)[i, k] = max_j (A[i, j] + B[j, k])
-                  = (A[:, :, None] + B[None, :, :]).max(axis=1)
+1. **Encode** the rows once into a float64 array scaled by the LCM of
+   the entries' denominators (integer matrices need no scaling, so no
+   per-entry :class:`~fractions.Fraction` is built).
+2. **Gather** the finite entries with ``np.nonzero``: row-major order
+   groups them by target, which is the CSR layout Karp relaxes over.
+3. **Karp from a zero super-source.**  ``D_0 = 0`` everywhere and
+   ``D_k(v) = max_{u→v} D_{k−1}(u) + w(u, v)`` (one
+   ``np.maximum.reduceat`` per level) covers every SCC in one pass:
+   ``λ = max_v min_{k<n} (D_n(v) − D_k(v))/(n − k)`` over the nodes an
+   ``n``-edge walk reaches, and no such walk means no cycle.
+4. **Backtrack exactly.**  Every ``D_k`` is an integer below ``2**53``,
+   so the critical walk is recovered by equality tests against the
+   level table instead of a per-level parent table.  The first node the
+   walk revisits closes a critical cycle.
+5. **Rebuild** the cycle's :class:`~repro.mcm.graphlib.RatioEdge` list
+   from the matrix's own exact entries.
 
-``-inf`` rows and columns are safe throughout: the only additions are
-``finite + finite``, ``-inf + finite`` and ``-inf + -inf`` (never
-``-inf + +inf``, which would produce NaN), so ε propagates exactly as
-in the reference implementation.
+**Exact certificate.**  Float division only ranks the candidates, so the
+answer is accepted only after an integer proof.  The cycle's integer
+weight sum gives ``λ = P/Q`` in scaled units; the reduced weights
+``Q·w − P`` are then relaxed in int64 from the all-zero potential over
+the same CSR.  A fixpoint potential ``π`` with ``π(u) + Q·w(u, v) − P ≤
+π(v)`` on every finite entry proves that no cycle has a mean above
+``λ``, and the cycle itself attains it.
 
-Conversion is exactness-checked both ways: :func:`to_dense` refuses
-(:class:`~repro.kernels.backend.NumericalGuardError`) any finite entry
-that is not exactly representable as a float64, and :func:`from_dense`
-rebuilds exact Fractions from the floats, so a round trip through the
-dense representation is the identity on the matrices it accepts.
+Guards raise :class:`~repro.kernels.backend.NumericalGuardError`, and
+``throughput()`` then reruns the exact Karp kernel and records the
+fallback: ``(n+1)·max|w| ≥ 2**53`` (float sums could round),
+``(n+1)·(Q·max|w| + |P|) ≥ 2**62`` (int64 potentials could overflow)
+and no fixpoint within ``n + 1`` rounds (the float ranking picked a
+sub-optimal cycle).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from math import lcm
+from typing import List
 
-from repro.kernels.backend import NumericalGuardError, require_numpy
-from repro.maxplus.algebra import EPSILON, is_epsilon
-from repro.maxplus.matrix import MaxPlusMatrix, MaxPlusVector
+from repro.kernels.backend import (
+    MAX_EXACT_FLOAT_SUM,
+    MAX_INT64_SUM,
+    NumericalGuardError,
+    require_numpy,
+)
+from repro.maxplus.algebra import EPSILON
+from repro.maxplus.matrix import MaxPlusMatrix
+from repro.mcm.graphlib import CycleRatioResult, RatioEdge
 
-__all__ = [
-    "from_dense",
-    "from_dense_vector",
-    "mp_identity",
-    "mp_matmul",
-    "mp_matvec",
-    "mp_power",
-    "to_dense",
-    "to_dense_vector",
-]
+__all__ = ["critical_cycle_numpy"]
 
 
-def _as_float(value, where: str) -> float:
-    if is_epsilon(value):
-        return float("-inf")
-    exact = Fraction(value)
-    approx = float(exact)
-    if Fraction(approx) != exact:
+def critical_cycle_numpy(matrix: MaxPlusMatrix,
+                         deadline=None) -> CycleRatioResult:
+    """Eigenvalue and a critical cycle of ``matrix`` (module docstring).
+
+    Same contract as the exact ``critical_cycle``: an exact
+    :class:`Fraction` value, a cycle of edges ``j → i`` for entries
+    ``M[i][j]``, and ``CycleRatioResult(None)`` when the precedence
+    graph is acyclic.  ``deadline`` is polled once per Karp level and
+    per certificate round under the ``karp-mcm`` progress keys.
+    """
+    np = require_numpy()
+    if matrix.nrows != matrix.ncols:
+        raise ValueError("precedence graph requires a square matrix")
+    n = matrix.nrows
+    if not n:
+        return CycleRatioResult(None)
+    progress = None
+    if deadline is not None:
+        progress = deadline.checkpoint(
+            "karp-mcm", {"scc": 0, "level": 0, "levels": n})
+    dense, scale = _encode(np, matrix.rows)
+    targets, sources = np.nonzero(dense > -np.inf)
+    if not targets.size:
+        return CycleRatioResult(None)
+    weights = dense[targets, sources]
+    largest = int(np.abs(weights).max())
+    if (n + 1) * largest >= MAX_EXACT_FLOAT_SUM:
         raise NumericalGuardError(
-            f"{where}: entry {exact} is not exactly representable as float64"
-        )
-    return approx
+            f"scaled entries too large for exact float64 sums: "
+            f"({n} + 1) * {largest} >= 2**53")
+    # Rows without finite entries have empty segments, which reduceat
+    # cannot take: relax only the filled rows (``heads``).
+    indptr = np.searchsorted(targets, np.arange(n + 1))
+    filled = indptr[:-1] < indptr[1:]
+    heads = np.flatnonzero(filled)
+    starts = indptr[:-1][filled]
+
+    levels = _karp_levels(np, sources, weights, starts, heads, n,
+                          deadline, progress)
+    node = _critical_node(np, levels)
+    if node is None:
+        return CycleRatioResult(None)
+    cycle = _backtrack(np, levels, sources, weights, indptr, node)
+
+    total = sum(int(weights[e]) for e in cycle)
+    mean = Fraction(total, len(cycle))
+    _certify(np, sources, weights, starts, heads, n, largest,
+             mean.numerator, mean.denominator, deadline)
+    rows = matrix.rows
+    edges = [
+        RatioEdge(j, i, Fraction(rows[i][j]), 1)
+        for i, j in zip(targets[cycle].tolist(), sources[cycle].tolist())
+    ]
+    return CycleRatioResult(mean / scale, edges).check()
 
 
-def to_dense(matrix: MaxPlusMatrix):
-    """Float64 array view of ``matrix`` (ε → ``-inf``), exactness-checked."""
-    np = require_numpy()
-    dense = np.empty((matrix.nrows, matrix.ncols), dtype=np.float64)
-    for i, row in enumerate(matrix.rows):
-        for j, value in enumerate(row):
-            dense[i, j] = _as_float(value, f"matrix entry ({i}, {j})")
-    return dense
+def _encode(np, rows):
+    """The rows as a float64 array scaled to integers, and the scale.
+
+    A type census decides the route: rows of ints and ε go to
+    ``np.array`` as they are; any other rational makes one pass that
+    scales every finite entry by the LCM of the denominators.
+    """
+    scale = 1
+    if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
+        finite = [Fraction(x) for x in chain.from_iterable(rows)
+                  if x != EPSILON]
+        scale = lcm(1, *(x.denominator for x in finite))
+        rows = [[x if x == EPSILON else int(x * scale) for x in row]
+                for row in rows]
+    try:
+        return np.array(rows, dtype=np.float64), scale
+    except OverflowError as error:
+        raise NumericalGuardError(
+            f"matrix entry beyond float64 range: {error}") from error
 
 
-def to_dense_vector(vector: MaxPlusVector):
-    """Float64 array view of ``vector`` (ε → ``-inf``), exactness-checked."""
-    np = require_numpy()
-    return np.array(
-        [_as_float(value, f"vector entry {i}")
-         for i, value in enumerate(vector.entries)],
-        dtype=np.float64,
-    )
+def _karp_levels(np, sources, weights, starts, heads, n, deadline,
+                 progress):
+    """``D_0 … D_n``: best ``k``-edge walk weights from any node."""
+    levels = np.full((n + 1, n), -np.inf)
+    levels[0] = 0.0
+    walks = np.empty_like(weights)
+    for k in range(1, n + 1):
+        if deadline is not None:
+            progress["level"] = k
+            deadline.check()
+        np.add(levels[k - 1].take(sources), weights, out=walks)
+        levels[k, heads] = np.maximum.reduceat(walks, starts)
+    return levels
 
 
-def _from_float(value):
-    if value == float("-inf"):
-        return EPSILON
-    return Fraction(float(value))
+def _critical_node(np, levels):
+    """A node maximising Karp's ``min_k (D_n − D_k)/(n − k)``, or
+    ``None`` when no ``n``-edge walk exists (acyclic)."""
+    n = levels.shape[1]
+    live = np.flatnonzero(levels[n] > -np.inf)
+    if not live.size:
+        return None
+    gaps = levels[n, live] - levels[:n, live]
+    means = (gaps / (n - np.arange(n))[:, None]).min(axis=0)
+    return int(live[means.argmax()])
 
 
-def from_dense(array) -> MaxPlusMatrix:
-    """Rebuild an exact :class:`MaxPlusMatrix` from a dense float array."""
-    return MaxPlusMatrix([[_from_float(v) for v in row] for row in array])
+def _backtrack(np, levels, sources, weights, indptr, node) -> List[int]:
+    """Edge indices of the first cycle on the best ``n``-edge walk into
+    ``node``, in walk order.
+
+    Level ``k``'s value at ``v`` is attained exactly by some in-edge
+    from level ``k − 1``; stepping back along it until a node repeats
+    closes a cycle (``n + 1`` visits of ``n`` nodes).
+    """
+    seen = {node: 0}
+    walk: List[int] = []
+    v = node
+    for k in range(levels.shape[0] - 1, 0, -1):
+        lo, hi = int(indptr[v]), int(indptr[v + 1])
+        attained = levels[k - 1, sources[lo:hi]] + weights[lo:hi]
+        pick = int(np.argmax(attained == levels[k, v]))
+        if attained[pick] != levels[k, v]:
+            raise NumericalGuardError(
+                f"critical walk broke at level {k}: inexact level table")
+        edge = lo + pick
+        walk.append(edge)
+        v = int(sources[edge])
+        if v in seen:
+            return walk[seen[v]:][::-1]
+        seen[v] = len(walk)
+    raise NumericalGuardError("critical walk revisits no node")
 
 
-def from_dense_vector(array) -> MaxPlusVector:
-    """Rebuild an exact :class:`MaxPlusVector` from a dense float array."""
-    return MaxPlusVector([_from_float(v) for v in array])
-
-
-def mp_identity(n: int):
-    """Dense max-plus identity: 0 on the diagonal, ε elsewhere."""
-    np = require_numpy()
-    dense = np.full((n, n), float("-inf"), dtype=np.float64)
-    np.fill_diagonal(dense, 0.0)
-    return dense
-
-
-def mp_matmul(a, b):
-    """Max-plus matrix product via broadcast-add + batched maximum."""
-    require_numpy()
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: {a.shape} cannot multiply {b.shape}"
-        )
-    return (a[:, :, None] + b[None, :, :]).max(axis=1)
-
-
-def mp_matvec(a, x):
-    """Max-plus matrix-vector product ``A ⊗ x``."""
-    require_numpy()
-    if a.shape[1] != x.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: {a.shape} cannot apply to {x.shape}"
-        )
-    return (a + x[None, :]).max(axis=1)
-
-
-def mp_power(a, n: int):
-    """Max-plus matrix power by binary exponentiation (``n >= 0``)."""
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("matrix power requires a square matrix")
-    if n < 0:
-        raise ValueError("matrix power requires a non-negative exponent")
-    result = mp_identity(a.shape[0])
-    base = a
-    while n:
-        if n & 1:
-            result = mp_matmul(result, base)
-        base = mp_matmul(base, base) if n > 1 else base
-        n >>= 1
-    return result
+def _certify(np, sources, weights, starts, heads, n, largest, p, q,
+             deadline) -> None:
+    """Prove no cycle mean exceeds ``p/q`` (scaled units) with an int64
+    Bellman fixpoint of the reduced weights ``q·w − p``."""
+    if (n + 1) * (q * largest + abs(p)) >= MAX_INT64_SUM:
+        raise NumericalGuardError(
+            f"reduced weights too large for int64 certification: "
+            f"({n} + 1) * ({q} * {largest} + {abs(p)}) >= 2**62")
+    reduced = weights.astype(np.int64) * q - p
+    potential = np.zeros(n, dtype=np.int64)
+    for _ in range(n + 1):
+        if deadline is not None:
+            deadline.check()
+        relaxed = np.maximum.reduceat(potential[sources] + reduced, starts)
+        if (relaxed <= potential[heads]).all():
+            return
+        potential[heads] = np.maximum(potential[heads], relaxed)
+    raise NumericalGuardError(
+        f"certificate failed: a cycle with mean above {p}/{q} (scaled) "
+        f"exists; the float ranking picked a sub-optimal cycle")

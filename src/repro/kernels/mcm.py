@@ -1,14 +1,12 @@
-"""Vectorized maximum cycle mean / ratio with exact certification.
+"""Vectorized Howard maximum cycle ratio with exact certification.
 
-Two kernels mirror the reference solvers in :mod:`repro.mcm`:
+:func:`howard_mcr_numpy` mirrors :func:`repro.mcm.howard.howard_mcr`:
+Howard's policy iteration with the two improvement stages vectorized
+over the outgoing-edge segments of an :class:`ArrayGraph`.  It serves
+``throughput(method="hsdf")``; the max-plus eigenvalue of the symbolic
+path has its own array-native kernel in :mod:`repro.kernels.maxplus`.
 
-* :func:`karp_mcm_numpy` — Karp's algorithm with the per-level Bellman
-  relaxation vectorized over a CSR :class:`ArrayGraph`
-  (``np.maximum.reduceat`` over incoming-edge segments);
-* :func:`howard_mcr_numpy` — Howard's policy iteration with the two
-  improvement stages vectorized over outgoing-edge segments.
-
-Both follow the same *search-then-certify* discipline:
+It follows a *search-then-certify* discipline:
 
 1. **Search** in float64.  :class:`ArrayGraph` scales weights to
    integers and guards their magnitude, so every dynamic-programming
@@ -32,7 +30,7 @@ Any guard trip raises :class:`~repro.kernels.backend.
 NumericalGuardError`; callers fall back to the exact kernel.  A result
 that *is* returned is a fully checked
 :class:`~repro.mcm.graphlib.CycleRatioResult`, bit-identical in value
-to the reference solvers (the witness cycle may be a different —
+to the reference solver (the witness cycle may be a different —
 equally critical — cycle; the differential oracle verifies both).
 """
 
@@ -56,7 +54,7 @@ from repro.mcm.graphlib import (
     cycle_ratio,
 )
 
-__all__ = ["certify_maximum_ratio", "howard_mcr_numpy", "karp_mcm_numpy"]
+__all__ = ["certify_maximum_ratio", "howard_mcr_numpy"]
 
 
 def _segment_max(np, values, order, indptr):
@@ -114,134 +112,6 @@ def certify_maximum_ratio(array_graph: ArrayGraph, value: Fraction,
         f"certification failed: a cycle with ratio above {value} exists "
         f"(float search returned a sub-optimal candidate)"
     )
-
-
-# ---------------------------------------------------------------------------
-# Karp
-# ---------------------------------------------------------------------------
-
-
-def karp_mcm_numpy(graph: RatioGraph, deadline=None) -> CycleRatioResult:
-    """Vectorized Karp maximum cycle mean (unit transits required).
-
-    Drop-in for :func:`repro.mcm.karp.karp_mcm`: same validation, same
-    exact Fraction result, acyclic graphs yield ``CycleRatioResult(None)``.
-    """
-    require_numpy()
-    for edge in graph.edges:
-        if edge.transit != 1:
-            raise ValueError(
-                f"karp_mcm requires unit transits; edge "
-                f"{edge.source!r}->{edge.target!r} has transit {edge.transit}"
-            )
-    progress = None
-    if deadline is not None:
-        progress = deadline.checkpoint(
-            "karp-mcm", {"scc": 0, "level": 0, "levels": 0})
-    best: Optional[Fraction] = None
-    best_cycle: Optional[List[RatioEdge]] = None
-    for count, scc in enumerate(graph.nontrivial_sccs()):
-        if progress is not None:
-            progress["scc"] = count
-        value, cycle = _karp_scc(scc, deadline, progress)
-        if best is None or value > best:
-            best, best_cycle = value, cycle
-    if best is None:
-        return CycleRatioResult(None)
-    result = CycleRatioResult(best, best_cycle)
-    result.check()
-    return result
-
-
-def _karp_scc(scc: RatioGraph, deadline, progress):
-    np = require_numpy()
-    array_graph = ArrayGraph.from_ratio_graph(scc)
-    n = array_graph.node_count
-    m = array_graph.edge_count
-    src = array_graph.src
-    weights = array_graph.weights
-    order = array_graph.in_order
-    indptr = array_graph.in_indptr
-    neg_inf = float("-inf")
-
-    # Level-k best walk weights from the source (node index 0, the
-    # first node in insertion order — same source the exact kernel
-    # picks) and the parent edge realising each of them.
-    levels = np.full((n + 1, n), neg_inf, dtype=np.float64)
-    levels[0, 0] = 0.0
-    parents = np.full((n + 1, n), -1, dtype=np.int64)
-    if progress is not None:
-        progress["levels"] = n
-    for k in range(1, n + 1):
-        if progress is not None:
-            progress["level"] = k
-        if deadline is not None:
-            deadline.check()
-        candidates = levels[k - 1, src] + weights
-        segment = _segment_max(np, candidates, order, indptr)
-        levels[k] = segment
-        reachable = segment > neg_inf
-        picks = _segment_argmax(np, candidates, order, indptr, segment, m)
-        parents[k, reachable] = picks[reachable]
-
-    final = levels[n]
-    reachable = final > neg_inf
-    if not reachable.any():
-        raise AssertionError(
-            "no node reachable by n-edge walks in a nontrivial SCC")
-    # means[k, v] = (D_n(v) - D_k(v)) / (n - k); unreachable D_k
-    # entries must not win the min, unreachable finals must not win the
-    # argmax.
-    with np.errstate(invalid="ignore"):
-        numerators = final[None, :] - levels[:n, :]
-    numerators[np.isneginf(levels[:n, :])] = np.inf
-    numerators[:, ~reachable] = np.inf
-    denominators = (n - np.arange(n, dtype=np.int64))[:, None]
-    means = numerators / denominators
-    node_values = means.min(axis=0)
-    node_values[~reachable] = neg_inf
-    node_values[np.isposinf(node_values)] = neg_inf
-    candidate_node = int(node_values.argmax())
-    candidate_value = float(node_values[candidate_node])
-
-    cycle = _extract_cycle(array_graph, parents, candidate_node, n)
-    value = cycle_ratio(cycle)
-    # The DP ran in scaled-weight space; unscale the candidate before
-    # comparing with the exact ratio of the extracted cycle.
-    check_candidate(candidate_value / array_graph.scale, value,
-                    what="karp cycle mean")
-    certify_maximum_ratio(array_graph, value, deadline)
-    return value, cycle
-
-
-def _extract_cycle(array_graph: ArrayGraph, parents, node: int,
-                   n: int) -> List[RatioEdge]:
-    """Walk the n-edge parent path backwards; return the first cycle.
-
-    Mirrors the reference extraction: the walk from level ``n`` down to
-    level 0 visits ``n + 1`` nodes of an ``n``-node graph, so some node
-    repeats and the edges between its two occurrences form a cycle on
-    the critical walk.
-    """
-    walk_nodes: List[int] = []
-    walk_edges: List[RatioEdge] = []
-    current = node
-    for k in range(n, 0, -1):
-        walk_nodes.append(current)
-        edge_index = int(parents[k, current])
-        assert edge_index >= 0, "critical walk broke below a reachable node"
-        walk_edges.append(array_graph.edges[edge_index])
-        current = int(array_graph.src[edge_index])
-    walk_nodes.append(current)
-    walk_nodes.reverse()
-    walk_edges.reverse()
-
-    first_seen = {}
-    for index, visited in enumerate(walk_nodes):
-        if visited in first_seen:
-            return walk_edges[first_seen[visited]:index]
-        first_seen[visited] = index
-    raise AssertionError("no repeated node on an n-edge walk")
 
 
 # ---------------------------------------------------------------------------

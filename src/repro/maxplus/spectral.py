@@ -6,6 +6,13 @@ maximum cycle mean of its precedence graph (nodes = indices, an edge
 iteration matrix of an SDF graph the eigenvalue is the asymptotic
 iteration period, so the graph's throughput is ``γ(a)/λ`` firings per
 time unit (Baccelli et al. 1992, and Section 6 of the paper).
+
+Two concrete kernels compute it.  ``kernel="exact"`` builds the
+:func:`precedence_graph` and runs Karp's algorithm per strongly
+connected component in Fractions; it is the reference and the oracle.
+``kernel="numpy"`` runs Karp on the matrix's finite entries as arrays
+and proves its answer with an exact integer certificate
+(:mod:`repro.kernels.maxplus`); it never builds the precedence graph.
 """
 
 from __future__ import annotations
@@ -42,9 +49,9 @@ def precedence_graph(matrix: MaxPlusMatrix) -> RatioGraph:
 
 def _karp(matrix: MaxPlusMatrix, deadline, kernel: str):
     if kernel == "numpy":
-        from repro.kernels.mcm import karp_mcm_numpy
+        from repro.kernels.maxplus import critical_cycle_numpy
 
-        return karp_mcm_numpy(precedence_graph(matrix), deadline=deadline)
+        return critical_cycle_numpy(matrix, deadline=deadline)
     if kernel != "exact":
         raise ValueError(
             f"unknown concrete kernel {kernel!r}; use 'numpy' or 'exact'"
@@ -63,8 +70,9 @@ def eigenvalue(matrix: MaxPlusMatrix, deadline=None,
     :class:`repro.analysis.deadline.Deadline`) bounds the MCM iteration
     cooperatively.
 
-    ``kernel="numpy"`` runs the vectorized Karp kernel
-    (:func:`repro.kernels.mcm.karp_mcm_numpy`) — same exact result; a
+    ``kernel="numpy"`` runs the array-native Karp kernel on the matrix
+    itself (:func:`repro.kernels.maxplus.critical_cycle_numpy`): the
+    same exact value, accepted only through an integer certificate.  A
     :class:`repro.kernels.NumericalGuardError` propagates to the caller,
     which decides whether to fall back to the exact kernel.
     """

@@ -414,6 +414,22 @@ class SDFGraph:
             self._fingerprint = f"{_FINGERPRINT_VERSION}:{digest.hexdigest()}"
         return self._fingerprint
 
+    def __reduce__(self):
+        """Pickle as compact actor ``(name, time)`` and edge ``(name,
+        source, target, p, c, tokens)`` tuples plus the edge counter and
+        the memoised fingerprint; :func:`_rebuild` replays them through
+        the validating builders.  There is deliberately no
+        ``__setstate__``: a pickle of the former ``__dict__`` layout
+        still loads."""
+        return _rebuild, (
+            self.name,
+            tuple((a.name, a.execution_time) for a in self._actors.values()),
+            tuple((e.name, e.source, e.target, e.production, e.consumption,
+                   e.tokens) for e in self._edges.values()),
+            self._edge_counter,
+            self._fingerprint,
+        )
+
     def stats(self) -> Dict[str, int]:
         return {
             "actors": self.actor_count(),
@@ -426,3 +442,16 @@ class SDFGraph:
             f"SDFGraph({self.name!r}, actors={self.actor_count()}, "
             f"edges={self.edge_count()}, tokens={self.total_tokens()})"
         )
+
+
+def _rebuild(name, actors, edges, edge_counter, fingerprint) -> SDFGraph:
+    """Unpickle an :class:`SDFGraph` from :meth:`SDFGraph.__reduce__`."""
+    graph = SDFGraph(name)
+    for actor, execution_time in actors:
+        graph.add_actor(actor, execution_time)
+    for edge, source, target, production, consumption, tokens in edges:
+        graph.add_edge(source, target, production, consumption, tokens,
+                       name=edge)
+    graph._edge_counter = edge_counter
+    graph._fingerprint = fingerprint
+    return graph

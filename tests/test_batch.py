@@ -138,6 +138,24 @@ class TestCacheIntegration:
         warm = run_batch(graphs, backend="process", workers=2, cache=cache)
         assert warm.cache_stats.hits == len(graphs)
 
+    def test_process_backend_matches_serial(self):
+        """Graphs travel to the workers as compact pickles; the results
+        must equal the in-process ones."""
+        graphs = [case.build() for case in TABLE1_CASES[2:5]]
+        analyses = ("repetition", "throughput")
+        serial = run_batch(graphs, analyses, backend="serial",
+                           cache=AnalysisCache())
+        process = run_batch(graphs, analyses, backend="process", workers=2,
+                            cache=AnalysisCache())
+        assert not serial.failures and not process.failures
+        for mine, theirs in zip(serial.results, process.results):
+            assert (mine.name, mine.fingerprint) == \
+                (theirs.name, theirs.fingerprint)
+            assert mine.values["repetition"] == theirs.values["repetition"]
+            here, there = (r.values["throughput"] for r in (mine, theirs))
+            assert here.cycle_time == there.cycle_time
+            assert here.provenance.as_dict() == there.provenance.as_dict()
+
     def test_repr_mentions_outcome(self, registry_graphs):
         report = run_batch(registry_graphs[:2], backend="serial")
         assert isinstance(report, BatchReport)

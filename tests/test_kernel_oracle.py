@@ -3,14 +3,16 @@
 Every graph in the Table-1 registry and 200+ hypothesis-generated
 graphs run through both concrete kernels; :func:`oracle.assert_backends_agree`
 asserts bit-identical results, matching error behaviour, provenance
-kernel labels and witness re-verification.  The dense max-plus semiring
-is cross-checked separately against :class:`MaxPlusMatrix`, including
-all-ε rows and columns.
+kernel labels and witness re-verification.  The array-native eigenvalue
+kernel is cross-checked separately against exact Karp on random square
+matrices: dense to 95% ε, reducible with several SCCs, and nilpotent.
 """
 
 from __future__ import annotations
 
+import bisect
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,17 +28,10 @@ from repro.core.symbolic import symbolic_iteration
 from repro.graphs import TABLE1_CASES
 from repro.graphs.examples import figure3_graph
 from repro.kernels import NumericalGuardError
-from repro.kernels.maxplus import (
-    from_dense,
-    from_dense_vector,
-    mp_matmul,
-    mp_matvec,
-    mp_power,
-    to_dense,
-    to_dense_vector,
-)
+from repro.graphs.random_sdf import random_consistent_sdf
 from repro.maxplus.algebra import EPSILON
-from repro.maxplus.matrix import MaxPlusMatrix, MaxPlusVector
+from repro.maxplus.matrix import MaxPlusMatrix
+from repro.maxplus.spectral import critical_cycle
 
 #: Registry graphs whose self-timed state space is small enough for the
 #: (slow, pure-python) exact simulator to explore twice in test time.
@@ -208,66 +203,81 @@ def test_numpy_iteration_pickles_without_arrays():
 
 
 # ----------------------------------------------------------------------
-# dense max-plus semiring vs the exact MaxPlusMatrix
+# array-native eigenvalue kernel vs exact Karp, matrix by matrix
 # ----------------------------------------------------------------------
 
-_entries = st.one_of(
-    st.just(EPSILON),
-    st.integers(min_value=-50, max_value=50),
-    st.fractions(
-        min_value=-50, max_value=50, max_denominator=8
-    ).filter(lambda f: float(f) == f),  # exactly float-representable
-)
+@st.composite
+def square_matrices(draw):
+    """Square max-plus matrices of order 1–24 with 0–95% ε entries and
+    negative, zero and (optionally) fractional values.
+
+    ``blocks`` keeps only entries ``j → i`` with ``block(j) ≤ block(i)``
+    (a reducible matrix with one SCC group per block); ``nilpotent``
+    keeps only ``j < i`` (an acyclic precedence graph).  A random
+    relabelling hides both structures from index order.
+    """
+    n = draw(st.integers(min_value=1, max_value=24))
+    share = draw(st.floats(min_value=0.0, max_value=0.95))
+    shape = draw(st.sampled_from(["general", "blocks", "nilpotent"]))
+    fractional = draw(st.booleans())
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2 ** 32)))
+    cuts = sorted(rng.sample(range(1, n), min(n - 1, rng.randint(1, 3))))
+    block = [bisect.bisect(cuts, i) for i in range(n)]
+    label = list(range(n))
+    rng.shuffle(label)
+
+    def value():
+        if fractional and rng.random() < 0.4:
+            return Fraction(rng.randint(-60, 60), rng.randint(1, 9))
+        return rng.randint(-20, 40)
+
+    rows = [[EPSILON] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if rng.random() < share:
+                continue
+            if shape == "blocks" and block[j] > block[i]:
+                continue
+            if shape == "nilpotent" and j >= i:
+                continue
+            rows[label[i]][label[j]] = value()
+    return MaxPlusMatrix(rows)
 
 
-def _matrices(side):
-    return st.lists(
-        st.lists(_entries, min_size=side, max_size=side),
-        min_size=side, max_size=side,
-    ).map(MaxPlusMatrix)
+class TestMatrixKernelAgreement:
+    @given(matrix=square_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_value_and_cycle_match_exact_karp(self, matrix):
+        exact = critical_cycle(matrix, kernel="exact")
+        fast = critical_cycle(matrix, kernel="numpy")
+        assert fast.value == exact.value
+        if exact.value is None:
+            assert not fast.cycle
+            return
+        assert type(fast.value) is Fraction
+        fast.check()
+        for edge, successor in zip(fast.cycle,
+                                   fast.cycle[1:] + fast.cycle[:1]):
+            assert edge.target == successor.source
+            assert edge.transit == 1
+            assert edge.weight == matrix.rows[edge.target][edge.source]
 
 
-class TestDenseSemiringAgreement:
-    @given(data=st.data(), side=st.integers(min_value=1, max_value=5))
-    @settings(max_examples=80, deadline=None)
-    def test_matmul_matches_reference(self, data, side):
-        a = data.draw(_matrices(side))
-        b = data.draw(_matrices(side))
-        dense = mp_matmul(to_dense(a), to_dense(b))
-        assert from_dense(dense).rows == a.multiply(b).rows
+def _random_mcm_pool():
+    """Four graphs like perfbench's ``random-mcm`` pool: random
+    consistent SDF graphs with iteration matrices of order 35–64."""
+    rng = random.Random(7)
+    pool = []
+    while len(pool) < 4:
+        graph = random_consistent_sdf(rng, n_actors=16, extra_edges=12,
+                                      max_repetition=4)
+        if 35 <= sum(edge.tokens for edge in graph.edges) <= 64:
+            pool.append(graph)
+    return pool
 
-    @given(data=st.data(), side=st.integers(min_value=1, max_value=5))
-    @settings(max_examples=60, deadline=None)
-    def test_matvec_matches_reference(self, data, side):
-        a = data.draw(_matrices(side))
-        x = MaxPlusVector(
-            data.draw(st.lists(_entries, min_size=side, max_size=side))
-        )
-        dense = mp_matvec(to_dense(a), to_dense_vector(x))
-        assert from_dense_vector(dense).entries == a.apply(x).entries
 
-    @given(data=st.data(), side=st.integers(min_value=1, max_value=4),
-           exponent=st.integers(min_value=0, max_value=6))
-    @settings(max_examples=40, deadline=None)
-    def test_power_matches_reference(self, data, side, exponent):
-        a = data.draw(_matrices(side))
-        dense = mp_power(to_dense(a), exponent)
-        assert from_dense(dense).rows == a.power(exponent).rows
-
-    def test_all_epsilon_row_and_column(self):
-        """ε rows/columns survive the product exactly (no NaN leaks)."""
-        a = MaxPlusMatrix([
-            [EPSILON, EPSILON, EPSILON],
-            [3, EPSILON, Fraction(1, 2)],
-            [EPSILON, 0, EPSILON],
-        ])
-        b = MaxPlusMatrix([
-            [EPSILON, 5, EPSILON],
-            [EPSILON, EPSILON, EPSILON],
-            [7, -2, EPSILON],
-        ])
-        product = from_dense(mp_matmul(to_dense(a), to_dense(b)))
-        assert product.rows == a.multiply(b).rows
-        # row 0 of a is all-ε, column 2 of b is all-ε: both must stay ε.
-        assert all(value == EPSILON for value in product.rows[0])
-        assert all(row[2] == EPSILON for row in product.rows)
+@pytest.mark.parametrize("index", range(4))
+def test_random_mcm_pool_agreement(index):
+    """Where the eigenvalue dominates a request: the numpy kernel
+    answers (no fallback) and both witnesses re-verify."""
+    assert_backends_agree(_random_mcm_pool()[index], "symbolic")

@@ -2,7 +2,8 @@
 
 Covers the pieces the differential oracle exercises only indirectly:
 the CSR array layout, kernel selection and the no-numpy guard, the
-documented tolerance policy, exact certification, the numerical-guard
+documented tolerance policy, exact certification, the eigenvalue
+kernel's guards, certificate and cancellation, the numerical-guard
 fallback (with its provenance and metrics trail) and the observability
 surface (span attributes, provenance round trip, schema validation).
 """
@@ -16,8 +17,10 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
+from repro.analysis.deadline import CancelToken, Deadline
 from repro.analysis.throughput import throughput
 from repro.core.symbolic import symbolic_iteration
+from repro.errors import AnalysisCancelled
 from repro.kernels import (
     KernelUnavailableError,
     NumericalGuardError,
@@ -33,7 +36,10 @@ from repro.kernels.backend import (
     RELATIVE_TOLERANCE,
     _reset_numpy_cache,
 )
-from repro.kernels.mcm import certify_maximum_ratio, karp_mcm_numpy
+from repro.kernels.mcm import certify_maximum_ratio
+from repro.maxplus.algebra import EPSILON
+from repro.maxplus.matrix import MaxPlusMatrix
+from repro.maxplus.spectral import critical_cycle
 from repro.mcm.graphlib import RatioGraph
 from repro.obs.check import SchemaError, validate_provenance
 from repro.obs.metrics import MetricsRegistry, set_default_registry
@@ -183,17 +189,96 @@ class TestCertification:
         with pytest.raises(NumericalGuardError, match="certif"):
             certify_maximum_ratio(ag, Fraction(7, 2))
 
-    def test_karp_kernel_returns_exact_fractions(self):
-        g = RatioGraph()  # unit transits: Karp's precondition
-        for node in ("a", "b"):
-            g.add_node(node)
-        g.add_edge("a", "b", Fraction(3), 1, key="ab")
-        g.add_edge("b", "a", Fraction(5), 1, key="ba")
-        g.add_edge("a", "a", Fraction(7, 2), 1, key="aa")
-        result = karp_mcm_numpy(g)
-        assert result.value == Fraction(4)
-        assert isinstance(result.value, Fraction)
-        assert {e.key for e in result.cycle} == {"ab", "ba"}
+
+def _pair_sdf():
+    """Self-looped ``a`` (T = 1) and ``b`` (T = 5) on a one-token ring:
+    the iteration matrix's entry (0, 0) is a's self-loop (mean 1), the
+    critical cycle is the ring (mean 6)."""
+    g = SDFGraph("pair")
+    for name, time in (("a", 1), ("b", 5)):
+        g.add_actor(name, execution_time=time)
+        g.add_edge(name, name, tokens=1, name=f"self_{name}")
+    g.add_edge("a", "b")
+    g.add_edge("b", "a", tokens=1)
+    return g
+
+
+def _ring_matrix(n, closing_weight):
+    """An ``n``-cycle of unit entries closed by ``closing_weight``."""
+    rows = [[EPSILON] * n for _ in range(n)]
+    for i in range(n):
+        rows[(i + 1) % n][i] = 1
+    rows[0][n - 1] = closing_weight
+    return MaxPlusMatrix(rows)
+
+
+class TestMatrixKernel:
+    """Guards and certificate of the array-native eigenvalue kernel."""
+
+    def test_entry_just_over_the_float_bound_trips(self):
+        n = 5
+        limit = MAX_EXACT_FLOAT_SUM // (n + 1)  # (n + 1) * limit < 2**53
+        below = _ring_matrix(n, limit)
+        assert critical_cycle(below, kernel="numpy").value == \
+            critical_cycle(below, kernel="exact").value
+        with pytest.raises(NumericalGuardError, match=r"2\*\*53"):
+            critical_cycle(_ring_matrix(n, limit + 1), kernel="numpy")
+
+    def test_entry_beyond_float_range_trips(self):
+        for entry in (10 ** 400, Fraction(10 ** 400, 3)):
+            with pytest.raises(NumericalGuardError, match="float64 range"):
+                critical_cycle(MaxPlusMatrix([[entry]]), kernel="numpy")
+
+    def test_guard_trip_records_one_fallback(self, fresh_registry):
+        """A 1x1 matrix holding 2**52 + 1: the walk's bound admits it,
+        the kernel's (n + 1)·max|w| < 2**53 does not."""
+        g = SDFGraph("lone")
+        g.add_actor("a", execution_time=2 ** 52 + 1)
+        g.add_edge("a", "a", tokens=1, name="self_a")
+        iteration = symbolic_iteration(g, kernel="numpy")
+        with pytest.raises(NumericalGuardError):
+            critical_cycle(iteration.matrix, kernel="numpy")
+        with Tracer() as tracer:
+            result = throughput(g, kernel="numpy")
+        spans = {s.name: s for s in tracer.spans()}
+        assert spans["symbolic-conversion"].args["kernel_used"] == "numpy"
+        assert spans["mcm-eigenvalue"].args["kernel_used"] == "exact"
+        assert result.cycle_time == 2 ** 52 + 1
+        record = result.provenance
+        assert record.kernel == "exact"
+        assert "fell back to exact" in record.degradation_reason
+        assert "2**53" in record.degradation_reason
+        assert fresh_registry.value(
+            "repro_kernel_fallback_total", method="symbolic") == 1
+
+    def test_wrong_walk_pick_is_rejected_by_the_certificate(
+            self, monkeypatch, fresh_registry):
+        """A walk pick closing a non-critical cycle (a's self-loop) must
+        fail the integer certificate, never reach the caller."""
+        import repro.kernels.maxplus as kernel
+
+        matrix = symbolic_iteration(_pair_sdf()).matrix
+        assert matrix.rows[0][0] == 1
+        monkeypatch.setattr(kernel, "_backtrack", lambda *args: [0])
+        with pytest.raises(NumericalGuardError, match="certificate"):
+            critical_cycle(matrix, kernel="numpy")
+        result = throughput(_pair_sdf(), kernel="numpy")
+        assert result.cycle_time == 6
+        assert result.provenance.kernel == "exact"
+        assert "certificate" in result.provenance.degradation_reason
+        assert fresh_registry.value(
+            "repro_kernel_fallback_total", method="symbolic") == 1
+
+    @pytest.mark.parametrize("which", ["numpy", "exact"])
+    def test_cancellation_reports_karp_progress(self, which):
+        token = CancelToken()
+        token.cancel("stop")
+        with pytest.raises(AnalysisCancelled) as raised:
+            critical_cycle(symbolic_iteration(_pair_sdf()).matrix,
+                           deadline=Deadline.unlimited(token), kernel=which)
+        assert raised.value.stage == "karp-mcm"
+        assert {"scc", "level", "levels"} <= set(raised.value.progress)
+        assert raised.value.progress["levels"] == 3
 
 
 class TestGuardFallback:

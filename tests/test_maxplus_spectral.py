@@ -6,9 +6,11 @@ from fractions import Fraction
 import pytest
 
 from repro.errors import ConvergenceError
+from repro.kernels import numpy_available
 from repro.maxplus.algebra import EPSILON
 from repro.maxplus.matrix import MaxPlusMatrix, MaxPlusVector
 from repro.maxplus.spectral import (
+    critical_cycle,
     critical_indices,
     cycle_time,
     eigenvalue,
@@ -73,6 +75,37 @@ class TestEigenvalue:
         rng = random.Random(seed)
         m = random_irreducible(rng, rng.randint(1, 5))
         assert eigenvalue(m) == brute_force_mcr(precedence_graph(m)).value
+
+
+_SMALL = {
+    "empty": [],
+    "all-epsilon": [[EPSILON]],
+    "nilpotent": [[EPSILON, 1], [EPSILON, EPSILON]],
+    "diagonal": [[3, EPSILON], [EPSILON, 5]],
+    "two-cycle": [[EPSILON, 2], [4, EPSILON]],
+    "fractional": [[Fraction(7, 2), EPSILON], [Fraction(1, 3), -2]],
+    "negative": [[-4, -1], [-3, EPSILON]],
+}
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy not importable")
+class TestNumpyKernel:
+    """``kernel="numpy"`` (the array-native kernel) on the small cases:
+    the exact kernel's value, a cycle attaining it, the same errors."""
+
+    @pytest.mark.parametrize("name", sorted(_SMALL))
+    def test_matches_exact(self, name):
+        m = MaxPlusMatrix(_SMALL[name])
+        fast = critical_cycle(m, kernel="numpy")
+        assert fast.value == critical_cycle(m, kernel="exact").value
+        assert critical_indices(m, kernel="numpy") == (
+            fast.value, fast.cycle_nodes())
+        if fast.value is not None:
+            fast.check()
+
+    def test_requires_square(self):
+        with pytest.raises(ValueError, match="square"):
+            eigenvalue(MaxPlusMatrix([[1, 2]]), kernel="numpy")
 
 
 class TestPowerIteration:

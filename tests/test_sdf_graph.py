@@ -1,5 +1,6 @@
 """The SDF graph data structure."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -207,3 +208,54 @@ class TestDerivation:
         b = SDFGraph()
         b.add_actor("x", 2)
         assert not a.structurally_equal(b)
+
+
+def _pickled_graph():
+    """A graph whose auto-name counter runs ahead of its edges (an
+    auto-named edge was removed) and whose fingerprint is memoised."""
+    g = SDFGraph("pickled")
+    g.add_actor("x", 2)
+    g.add_actor("y", Fraction(3, 2))
+    g.add_actor("z")
+    g.add_edge("x", "y", 2, 3, 1)
+    g.add_edge("y", "z", name="yz")
+    g.add_edge("z", "x", tokens=4)
+    g.add_edge("x", "x", tokens=1)
+    g.remove_edge("e0")
+    g.add_edge("y", "x", 3, 2, 2)
+    g.fingerprint()
+    return g
+
+
+class TestPickle:
+    def assert_same(self, loaded, original):
+        assert loaded.name == original.name
+        assert loaded._fingerprint == original._fingerprint
+        assert loaded.fingerprint() == original.fingerprint()
+        assert loaded.actors == original.actors
+        assert loaded.edges == original.edges
+        assert loaded._in == original._in
+        assert loaded._out == original._out
+        assert loaded._edge_counter == original._edge_counter
+        # The next auto-named edge gets the same name on both.
+        assert loaded.add_edge("z", "y").name == \
+            original.add_edge("z", "y").name
+
+    def test_round_trip(self):
+        g = _pickled_graph()
+        self.assert_same(pickle.loads(pickle.dumps(g)), g)
+
+    def test_former_layout_still_loads(self, monkeypatch):
+        """Pickles written before ``__reduce__`` hold the instance dict."""
+        g = _pickled_graph()
+        with monkeypatch.context() as patch:
+            patch.delattr(SDFGraph, "__reduce__")
+            former = pickle.dumps(g)
+        assert len(pickle.dumps(g)) < len(former)
+        self.assert_same(pickle.loads(former), g)
+
+    def test_unpickling_validates(self):
+        g = _pickled_graph()
+        function, (name, actors, edges, counter, fingerprint) = g.__reduce__()
+        with pytest.raises(ValidationError, match="unknown actor"):
+            function(name, actors[:1], edges, counter, fingerprint)
