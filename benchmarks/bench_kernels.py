@@ -1,6 +1,6 @@
 """Kernel baseline: vectorized numpy backends vs the exact reference.
 
-Four measurements, persisted to ``BENCH_kernels.json`` at the
+Three measurements, persisted to ``BENCH_kernels.json`` at the
 repository root (``repro-bench-v1`` schema, see
 ``benchmarks/bench_common.py``):
 
@@ -10,8 +10,6 @@ repository root (``repro-bench-v1`` schema, see
   perfbench's ``random-mcm`` pool, ~80% finite) and the order-600
   matrix of a ring of 300 self-looped actors (two finite entries per
   row, 0.3% dense);
-* **Howard MCR** on a large random transit graph — ``howard_mcr_numpy``
-  vs ``howard_mcr``;
 * **self-timed simulation** of the registry graph with the busiest
   state space the exact engine still explores quickly — vectorized
   per-instant firing passes vs the reference event loop.
@@ -19,9 +17,8 @@ repository root (``repro-bench-v1`` schema, see
 Every timed pair first asserts *bit-identical* results (the kernels'
 whole contract); the speedup entries carry their asserted floors as
 ``baseline`` so `repro.obs.check` flags a regression below them.  Both
-eigenvalue entries assert >= 10x; Howard (certification amortises more
-slowly) and simulation assert a >= 2x floor and report the measured
-figure honestly.
+eigenvalue entries assert >= 10x; simulation asserts a >= 2x floor and
+reports the measured figure honestly.
 """
 
 from __future__ import annotations
@@ -29,17 +26,13 @@ from __future__ import annotations
 import pathlib
 import random
 import time
-from fractions import Fraction
 
 from bench_common import entry, write_bench
 from repro.core.symbolic import symbolic_iteration
 from repro.graphs import TABLE1_CASES
 from repro.graphs.random_sdf import random_consistent_sdf
-from repro.kernels.mcm import howard_mcr_numpy
 from repro.kernels.simulation import simulation_throughput_numpy
 from repro.maxplus.spectral import critical_cycle
-from repro.mcm.graphlib import RatioGraph
-from repro.mcm.howard import howard_mcr
 from repro.sdf.graph import SDFGraph
 from repro.sdf.simulation import simulation_throughput
 
@@ -52,7 +45,6 @@ REPEATS = 3
 
 #: Asserted speedup floors (also the ``baseline`` of each entry).
 EIGENVALUE_FLOOR = 10.0
-HOWARD_FLOOR = 2.0
 SIMULATION_FLOOR = 2.0
 
 #: The registry graph timed for the simulation kernel: busiest
@@ -68,26 +60,6 @@ def _best_of(repeats: int, fn) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best
-
-
-def _random_ratio_graph(nodes: int, edges: int, seed: int) -> RatioGraph:
-    """Strongly connected (ring + chords) with drawn integer weights.
-
-    Transits are drawn from 1..3 — never 0, so Howard's
-    zero-transit-cycle precondition always holds.
-    """
-    rng = random.Random(seed)
-    g = RatioGraph()
-    for i in range(nodes):
-        g.add_node(i)
-    for i in range(nodes):
-        g.add_edge(i, (i + 1) % nodes, Fraction(rng.randint(1, 50)),
-                   rng.randint(1, 3), key=f"ring{i}")
-    for j in range(edges - nodes):
-        g.add_edge(rng.randrange(nodes), rng.randrange(nodes),
-                   Fraction(rng.randint(1, 50)), rng.randint(1, 3),
-                   key=f"chord{j}")
-    return g
 
 
 def pool_matrix(order: int = 64):
@@ -133,23 +105,6 @@ def measure_eigenvalue(matrix) -> dict:
     }
 
 
-def measure_howard(nodes: int = 1200, edges: int = 6000) -> dict:
-    graph = _random_ratio_graph(nodes, edges, seed=20090726)
-    exact = howard_mcr(graph)
-    vectorized = howard_mcr_numpy(graph)
-    assert vectorized.value == exact.value
-
-    exact_seconds = _best_of(REPEATS, lambda: howard_mcr(graph))
-    numpy_seconds = _best_of(REPEATS, lambda: howard_mcr_numpy(graph))
-    return {
-        "nodes": nodes, "edges": edges,
-        "value": str(exact.value),
-        "exact_seconds": round(exact_seconds, 6),
-        "numpy_seconds": round(numpy_seconds, 6),
-        "speedup": round(exact_seconds / numpy_seconds, 2),
-    }
-
-
 def measure_simulation() -> dict:
     case = next(c for c in TABLE1_CASES if c.name == SIMULATION_CASE)
     graph = case.build()
@@ -181,16 +136,10 @@ def _eigenvalue_entries(prefix: str, measured: dict) -> list:
     ]
 
 
-def _entries(pool: dict, ring: dict, howard: dict, simulation: dict) -> list:
+def _entries(pool: dict, ring: dict, simulation: dict) -> list:
     return [
         *_eigenvalue_entries("eigenvalue_pool", pool),
         *_eigenvalue_entries("eigenvalue_ring", ring),
-        entry("howard_speedup", "x", howard["speedup"],
-              baseline=HOWARD_FLOOR, nodes=howard["nodes"],
-              edges=howard["edges"],
-              note="baseline is the asserted floor"),
-        entry("howard_exact_seconds", "s", howard["exact_seconds"]),
-        entry("howard_numpy_seconds", "s", howard["numpy_seconds"]),
         entry("simulation_speedup", "x", simulation["speedup"],
               baseline=SIMULATION_FLOOR, graph=simulation["graph"],
               period=simulation["period"],
@@ -203,7 +152,6 @@ def _entries(pool: dict, ring: dict, howard: dict, simulation: dict) -> list:
 def test_kernel_baseline(report):
     pool = measure_eigenvalue(pool_matrix())
     ring = measure_eigenvalue(ring_matrix())
-    howard = measure_howard()
     simulation = measure_simulation()
 
     report("Kernels: numpy vs exact, bit-identical results "
@@ -215,16 +163,12 @@ def test_kernel_baseline(report):
                f"numpy {measured['numpy_seconds'] * 1e3:.2f}ms "
                f"({measured['speedup']:.0f}x, "
                f"floor {EIGENVALUE_FLOOR:.0f}x)")
-    report(f"Howard MCR, random n={howard['nodes']} m={howard['edges']}: "
-           f"exact {howard['exact_seconds']:.3f}s, "
-           f"numpy {howard['numpy_seconds']:.3f}s "
-           f"({howard['speedup']:.1f}x, floor {HOWARD_FLOOR:.0f}x)")
     report(f"self-timed simulation of {simulation['graph']}: "
            f"exact {simulation['exact_seconds']:.3f}s, "
            f"numpy {simulation['numpy_seconds']:.3f}s "
            f"({simulation['speedup']:.1f}x, floor {SIMULATION_FLOOR:.0f}x)")
     write_bench(BENCH_FILE, "kernels",
-                _entries(pool, ring, howard, simulation))
+                _entries(pool, ring, simulation))
     report(f"written to {BENCH_FILE.name}")
     report.save("kernels")
 
@@ -232,7 +176,6 @@ def test_kernel_baseline(report):
     # nothing regresses below its floor.
     assert pool["speedup"] >= EIGENVALUE_FLOOR
     assert ring["speedup"] >= EIGENVALUE_FLOOR
-    assert howard["speedup"] >= HOWARD_FLOOR
     assert simulation["speedup"] >= SIMULATION_FLOOR
 
 
@@ -242,7 +185,6 @@ if __name__ == "__main__":  # standalone: regenerate the JSON baseline
     doc = write_bench(
         BENCH_FILE, "kernels",
         _entries(measure_eigenvalue(pool_matrix()),
-                 measure_eigenvalue(ring_matrix()), measure_howard(),
-                 measure_simulation()),
+                 measure_eigenvalue(ring_matrix()), measure_simulation()),
     )
     print(json.dumps(doc, indent=2))

@@ -19,8 +19,8 @@ Three independent back-ends compute λ exactly:
 
 ``hsdf``
     Expand to the traditional HSDF and take the maximum cycle ratio
-    (execution time over tokens) — the classical approach whose size
-    explosion motivates Section 6 of the paper.
+    (execution time over tokens) with exact Howard — the classical
+    approach whose size explosion motivates Section 6 of the paper.
 
 For graphs that are not strongly connected the guaranteed rate is still
 γ(a)/λ with λ the global worst cycle; actors not dominated by the
@@ -203,6 +203,8 @@ def throughput(
     the numpy path falls back to exact automatically; the provenance
     record then carries the reason as ``degradation_reason`` and its
     ``kernel`` field names the backend that produced the number.
+    ``method="hsdf"`` has no numpy kernel: it always runs exact Howard
+    and records ``kernel: "exact"``.
     """
     selected = resolve_kernel(kernel)
     record_selection(selected, method)
@@ -349,25 +351,15 @@ def _throughput(graph, method, precheck, deadline, witness, info=None):
                 expanded = (
                     graph if homogeneous else traditional_hsdf(graph, deadline=deadline)
                 )
+            # The classical baseline has one engine, exact Howard,
+            # whatever the kernel knob selected.
+            info["used"] = "exact"
             try:
-                with span("howard-mcr",
-                          actors=expanded.actor_count()) as mcr_span:
-                    def _howard_numpy():
-                        from repro.kernels.mcm import howard_mcr_numpy
-
-                        return howard_mcr_numpy(
-                            hsdf_cycle_ratio_graph(expanded),
-                            deadline=deadline)
-
-                    mcr = _dispatch_kernel(
-                        info, method,
-                        _howard_numpy,
-                        lambda: howard_mcr(
-                            hsdf_cycle_ratio_graph(expanded),
-                            deadline=deadline),
-                    )
-                    mcr_span.set(kernel_used=info["used"])
-                top_span.set(kernel_used=info["used"])
+                with span("howard-mcr", actors=expanded.actor_count(),
+                          kernel_used="exact"):
+                    mcr = howard_mcr(hsdf_cycle_ratio_graph(expanded),
+                                     deadline=deadline)
+                top_span.set(kernel_used="exact")
             except ZeroTransitCycleError as error:
                 # A token-free dependency cycle is a deadlock; report it in
                 # the same vocabulary as the other back-ends.

@@ -880,7 +880,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default="auto",
                    help="compute kernel: numpy (vectorized, exact-certified), "
                         "exact (pure-python Fractions) or auto (numpy when "
-                        "available); results are identical either way")
+                        "available); results are identical either way, and "
+                        "--method hsdf always runs exact")
     p.add_argument("--lint", action="store_true",
                    help="lint first; refuse graphs with error findings")
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",

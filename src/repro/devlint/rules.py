@@ -161,8 +161,10 @@ def _exactness_discipline(ctx: FileContext) -> Iterator:
     arithmetic/comparison there silently destroys the exactness
     guarantee the analyses certify.  *Kernel modules* may use floats —
     they search with them — but a float equality comparison is always a
-    bug: candidates must be certified through the exact slack API
-    (``certification_slack`` / ``certify_*`` in ``kernels.backend``).
+    bug: a float candidate is never accepted on its own.  The kernels
+    re-derive the answer exactly from the cycle's own entries and prove
+    it with an integer certificate (the int64 fixpoint of ``_certify``
+    in ``kernels/maxplus.py``).
     """
     if ctx.in_modules(ctx.scope_option("exact_modules", EXACT_MODULES)):
         for node in ast.walk(ctx.tree):
@@ -173,8 +175,8 @@ def _exactness_discipline(ctx: FileContext) -> Iterator:
                     "keep values as Fraction (kernels/ certify float "
                     "candidates exactly)",
                     node=node,
-                    fix="move the conversion into kernels/ behind the "
-                        "certify API, or drop it",
+                    fix="move the conversion into kernels/ behind an "
+                        "exact integer certificate, or drop it",
                 )
             else:
                 for operand in _binop_operands(node):
@@ -197,12 +199,14 @@ def _exactness_discipline(ctx: FileContext) -> Iterator:
                        for o in operands):
                     yield ctx.diag(
                         "exactness-discipline",
-                        "float equality comparison in a kernel; certify "
-                        "the candidate through the exact tolerance API "
-                        "instead",
+                        "float equality comparison in a kernel; re-derive "
+                        "the candidate exactly and certify it with "
+                        "integers instead",
                         node=node,
-                        fix="use certification_slack()/certify_* from "
-                            "repro.kernels.backend",
+                        fix="re-derive the value from the cycle's own "
+                            "exact entries and prove it with an integer "
+                            "certificate (see _certify in "
+                            "repro/kernels/maxplus.py)",
                     )
             elif isinstance(node, ast.Call) and \
                     _dotted(node.func) == "math.isclose":

@@ -13,9 +13,6 @@ This package provides array-backed equivalents of the hot loops:
   a zero super-source over the matrix's finite entries, with an exact
   backtrack of the critical walk and an int64 Bellman-fixpoint
   certificate (:func:`~repro.kernels.maxplus.critical_cycle_numpy`);
-* Howard's policy iteration with array-based improvement stages over a
-  CSR :class:`~repro.kernels.arraygraph.ArrayGraph`, for
-  ``method="hsdf"`` (:func:`~repro.kernels.mcm.howard_mcr_numpy`);
 * the self-timed state-space simulation with a vectorized enabling/
   firing step (:func:`~repro.kernels.simulation.
   simulation_throughput_numpy`).
@@ -32,6 +29,10 @@ callers fall back to the exact kernel (recorded as
 bit-identical, cache entries are shared between backends and the
 kernel is *not* part of the cache key.
 
+The classical ``method="hsdf"`` baseline has no numpy kernel: it
+always runs exact Howard (:func:`repro.mcm.howard.howard_mcr`) and
+records ``kernel: "exact"``.
+
 numpy itself is imported lazily: with numpy absent, ``kernel="auto"``
 resolves to the exact backend and only an explicit ``kernel="numpy"``
 raises :class:`KernelUnavailableError`.
@@ -45,8 +46,6 @@ from repro.kernels.backend import (
     KernelUnavailableError,
     NumericalGuardError,
     available_kernels,
-    check_candidate,
-    float_tolerance,
     numpy_available,
     numpy_or_none,
     record_fallback,
@@ -60,8 +59,6 @@ __all__ = [
     "KernelUnavailableError",
     "NumericalGuardError",
     "available_kernels",
-    "check_candidate",
-    "float_tolerance",
     "numpy_available",
     "numpy_or_none",
     "record_fallback",

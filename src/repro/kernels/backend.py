@@ -16,28 +16,15 @@ This module owns the three pieces every kernel shares:
   exact-Fraction reference.  They keep that promise by using float64
   only inside regimes where it is exact, and by certifying candidate
   answers with exact integer arithmetic.  Whenever a precondition fails
-  (:data:`MAX_EXACT_FLOAT_SUM`, :data:`MAX_INT64_SUM`, the
-  :func:`float_tolerance` check, or a failed certification) they raise
-  :class:`NumericalGuardError` and the caller falls back to the exact
-  kernel, recording the reason as provenance ``degradation_reason``.
-
-Tolerance policy (documented here, asserted in
-``tests/test_kernels.py``): scaled integer weights are guarded so every
-dynamic-programming sum stays below ``2**53`` and is therefore an
-*exactly representable* float64.  The only rounding the search path
-performs is one final division per candidate, so a float candidate must
-match the exact Fraction re-derived from the critical cycle to within
-one unit in the last place — :func:`float_tolerance` allows ``2**-40``
-relative slack, ~8000x that, purely as a cheap smoke test ahead of the
-real exact certification.  A trip means the guard model is wrong, so it
-is treated like any other guard failure: exact fallback, never a wrong
-answer.
+  (:data:`MAX_EXACT_FLOAT_SUM`, :data:`MAX_INT64_SUM` or a failed
+  certificate) they raise :class:`NumericalGuardError` and the caller
+  falls back to the exact kernel, recording the reason as provenance
+  ``degradation_reason``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.errors import ReproError
 from repro.obs.metrics import default_registry
@@ -49,7 +36,6 @@ __all__ = [
     "KernelUnavailableError",
     "NumericalGuardError",
     "available_kernels",
-    "float_tolerance",
     "numpy_available",
     "numpy_or_none",
     "record_fallback",
@@ -70,10 +56,6 @@ MAX_EXACT_FLOAT_SUM = 2 ** 53
 #: strictly below this (headroom under 2**63 for one extra addition).
 MAX_INT64_SUM = 2 ** 62
 
-#: Relative tolerance for the float-candidate vs exact-Fraction smoke
-#: check (see module docstring for the derivation).
-RELATIVE_TOLERANCE = 2.0 ** -40
-
 
 class KernelUnavailableError(ReproError, RuntimeError):
     """An explicitly requested kernel backend cannot run here."""
@@ -83,9 +65,9 @@ class NumericalGuardError(ReproError, ArithmeticError):
     """A numpy kernel cannot guarantee exactness; use the exact kernel.
 
     Raised before any wrong answer can escape: on oversized weights,
-    int64 overflow risk, a tripped tolerance check or a failed exact
-    certification.  Callers catch this and fall back to the reference
-    implementation, recording the message as ``degradation_reason``.
+    int64 overflow risk or a failed exact certificate.  Callers catch
+    this and fall back to the reference implementation, recording the
+    message as ``degradation_reason``.
     """
 
 
@@ -153,33 +135,6 @@ def resolve_kernel(kernel: str) -> str:
     if kernel == "numpy":
         require_numpy()
     return kernel
-
-
-def float_tolerance(exact: Fraction) -> float:
-    """Absolute tolerance for comparing a float candidate to ``exact``.
-
-    Relative (:data:`RELATIVE_TOLERANCE`) in the magnitude of the exact
-    value, floored at the absolute scale so values near zero still get
-    slack for their one rounding division.
-    """
-    magnitude = abs(float(exact))
-    return RELATIVE_TOLERANCE * max(1.0, magnitude)
-
-
-def check_candidate(candidate: float, exact: Fraction, *, what: str) -> None:
-    """Assert the float search result matches its exact re-derivation.
-
-    Raises :class:`NumericalGuardError` when the candidate differs from
-    the exact Fraction by more than :func:`float_tolerance` — the cheap
-    front line of the tolerance policy, ahead of exact certification.
-    """
-    drift = abs(candidate - float(exact))
-    allowed = float_tolerance(exact)
-    if drift != drift or drift > allowed:  # NaN-safe
-        raise NumericalGuardError(
-            f"{what}: float candidate {candidate!r} deviates from exact "
-            f"value {exact} by {drift!r} (tolerance {allowed!r})"
-        )
 
 
 def record_selection(kernel: str, method: str) -> None:

@@ -19,6 +19,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.kernels.backend import MAX_EXACT_FLOAT_SUM
 from repro.lint.context import (
     BaseLintContext,
     CSDFLintContext,
@@ -230,13 +231,9 @@ def _unfolding_blowup(ctx: LintContext) -> Iterator[Diagnostic]:
         )
 
 
-#: The numpy kernels refuse graphs whose LCM-scaled integer weights can
-#: push a dynamic-programming sum past exact float64 integer range (the
-#: ``NumericalGuardError`` guard in :mod:`repro.kernels.arraygraph`).
-#: Mirrored here so the lint layer warns *before* an analysis trips it.
-MAX_EXACT_FLOAT_SUM = 2 ** 53
-
-#: Flag when the estimate comes within this factor of the guard
+#: Flag when the estimate comes within this factor of the numpy
+#: kernels' exact-float guard, :data:`MAX_EXACT_FLOAT_SUM` as enforced
+#: in :mod:`repro.kernels.symbolic` and :mod:`repro.kernels.maxplus`
 #: (override with the ``overflow_margin`` option).
 DEFAULT_OVERFLOW_MARGIN = 16
 
@@ -249,16 +246,18 @@ DEFAULT_OVERFLOW_MARGIN = 16
     requires=("consistent",),
 )
 def _kernel_guard_overflow(ctx: LintContext) -> Iterator[Diagnostic]:
-    """The vectorized kernels scale every edge weight by the LCM of the
-    weight denominators into exact integers, and refuse the graph when
-    ``(n + 1) * largest_weight`` reaches ``2**53`` (beyond which float64
-    sums stop being exact).  The analysis-time weights are sums of
-    execution times along dependency chains, so ``scale * Σ γ(a)·t(a)``
-    — the scaled work of one whole iteration — bounds every weight the
-    kernels can see.  This rule warns when that conservative estimate
-    comes within ``overflow_margin`` of the guard: the numpy path would
-    raise ``NumericalGuardError`` mid-analysis, falling back to the
-    (slower) pure-Fraction kernel."""
+    """The numpy kernels scale execution times by the LCM of their
+    denominators into exact integers and raise ``NumericalGuardError``
+    before a float64 sum can reach :data:`MAX_EXACT_FLOAT_SUM`
+    (``2**53``, beyond which float64 sums stop being exact): the
+    symbolic walk (:mod:`repro.kernels.symbolic`) when
+    ``scale * Σ γ(a)·t(a)`` — the scaled work of one whole iteration,
+    which bounds every stamp — reaches it, and the eigenvalue kernel
+    (:mod:`repro.kernels.maxplus`) when ``(n + 1) * largest_entry``
+    does.  This rule warns when the conservative estimate
+    ``(n + 1) * scale * Σ γ(a)·t(a)`` comes within ``overflow_margin``
+    of the guard: the numpy path would trip mid-analysis, falling back
+    to the (slower) pure-Fraction kernel."""
     from math import lcm
 
     graph = ctx.graph

@@ -10,6 +10,9 @@ always followed by exact re-derivation and certification.
 and one method, and :func:`assert_symbolic_engines_agree` checks it for
 the two engines of Algorithm 1's symbolic execution; both are shared by
 the registry-wide and property-based suites in ``test_kernel_oracle.py``.
+``method="hsdf"`` has a single engine, exact Howard, so for it
+:func:`assert_hsdf_runs_exact` checks every ``kernel=`` value against
+``method="symbolic"`` instead.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from __future__ import annotations
 from repro.analysis.throughput import throughput
 from repro.core.symbolic import symbolic_iteration
 from repro.errors import ReproError
-from repro.kernels import float_tolerance
+from repro.kernels import KERNELS
+from repro.obs.metrics import MetricsRegistry, set_default_registry
 from repro.obs.provenance import verify_witness
 
 
@@ -34,14 +38,17 @@ def assert_backends_agree(graph, method: str, expect_fallback: bool = False):
 
     Checks, in order: error agreement (same type, same message when both
     raise), exact equality of cycle time / repetition vector / per-actor
-    rates, the documented float-tolerance bound, provenance ``kernel``
-    labelling (``expect_fallback=True`` demands the numpy run degraded
-    to exact and recorded why), and that every attached witness
-    re-verifies against the original graph to the agreed cycle time.
+    rates, provenance ``kernel`` labelling (``expect_fallback=True``
+    demands the numpy run degraded to exact and recorded why), and that
+    every attached witness re-verifies against the original graph to
+    the agreed cycle time.  ``method="hsdf"`` is checked by
+    :func:`assert_hsdf_runs_exact`.
 
     Returns ``(numpy_result, exact_result)`` — both ``None`` when the
     backends agreed by raising.
     """
+    if method == "hsdf":
+        return assert_hsdf_runs_exact(graph)
     numpy_result, numpy_error = run_kernel(graph, method, "numpy")
     exact_result, exact_error = run_kernel(graph, method, "exact")
 
@@ -67,12 +74,6 @@ def assert_backends_agree(graph, method: str, expect_fallback: bool = False):
     assert numpy_result.unbounded == exact_result.unbounded
     if not exact_result.unbounded:
         assert numpy_result.per_actor == exact_result.per_actor
-        # Tolerance policy: the float view of the agreed value sits
-        # within the documented bound of the exact Fraction.
-        drift = abs(
-            float(numpy_result.cycle_time) - float(exact_result.cycle_time)
-        )
-        assert drift <= float_tolerance(exact_result.cycle_time)
 
     numpy_record = numpy_result.provenance
     exact_record = exact_result.provenance
@@ -95,6 +96,41 @@ def assert_backends_agree(graph, method: str, expect_fallback: bool = False):
             assert mean == exact_result.cycle_time
 
     return numpy_result, exact_result
+
+
+def assert_hsdf_runs_exact(graph):
+    """Assert ``method="hsdf"`` runs exact Howard for every ``kernel=``.
+
+    Each knob value must give the cycle time (or unboundedness) of
+    ``method="symbolic"``, label its provenance ``kernel: "exact"`` with
+    no ``degradation_reason``, count no kernel fallback, and — when the
+    throughput is bounded — carry a witness that re-verifies against the
+    original graph.  Returns the ``kernel="numpy"`` and
+    ``kernel="exact"`` results, like :func:`assert_backends_agree`.
+    """
+    registry = MetricsRegistry()
+    previous = set_default_registry(registry)
+    try:
+        results = {
+            kernel: throughput(graph, method="hsdf", kernel=kernel)
+            for kernel in KERNELS
+        }
+    finally:
+        set_default_registry(previous)
+    assert registry.value("repro_kernel_fallback_total", method="hsdf") is None
+
+    symbolic = throughput(graph, method="symbolic")
+    for result in results.values():
+        assert result.unbounded == symbolic.unbounded
+        assert result.repetition == symbolic.repetition
+        record = result.provenance
+        assert record.kernel == "exact"
+        assert record.degradation_reason is None
+        if not symbolic.unbounded:
+            assert result.cycle_time == symbolic.cycle_time
+            assert record.witness is not None
+            assert verify_witness(graph, record) == result.cycle_time
+    return results["numpy"], results["exact"]
 
 
 def _iteration(graph, kernel: str, **kwargs):

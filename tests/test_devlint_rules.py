@@ -83,6 +83,9 @@ class TestExactnessDiscipline:
         )
         (finding,) = only(report, "exactness-discipline")
         assert finding.line == 3
+        assert "certify it with integers" in finding.message
+        assert "kernels/maxplus.py" in finding.fix
+        assert "tolerance" not in finding.message + finding.fix
 
     def test_kernel_isclose_fires(self):
         report = run(

@@ -1,11 +1,14 @@
 """Differential-oracle suite: numpy kernels vs the exact reference.
 
-Every graph in the Table-1 registry and 200+ hypothesis-generated
+Every graph in the Table-1 registry and 150 hypothesis-generated
 graphs run through both concrete kernels; :func:`oracle.assert_backends_agree`
 asserts bit-identical results, matching error behaviour, provenance
-kernel labels and witness re-verification.  The array-native eigenvalue
-kernel is cross-checked separately against exact Karp on random square
-matrices: dense to 95% ε, reducible with several SCCs, and nilpotent.
+kernel labels and witness re-verification.  ``method="hsdf"`` has one
+engine, exact Howard, so its legs check instead that every ``kernel=``
+value runs it and matches ``method="symbolic"``.  The array-native
+eigenvalue kernel is cross-checked separately against exact Karp on
+random square matrices: dense to 95% ε, reducible with several SCCs,
+and nilpotent.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ def test_registry_simulation_agreement(name):
 
 
 class TestPropertyAgreement:
-    """Hypothesis cross-backend agreement (≥200 examples in total).
+    """Hypothesis cross-backend agreement (150 examples in total).
 
     The strategies always attach one-token self-loops (auto-concurrency
     bounds), and the default ``min_time=0`` draws zero-execution-time
@@ -70,15 +73,6 @@ class TestPropertyAgreement:
                                      HealthCheck.data_too_large])
     def test_symbolic_agreement(self, g):
         assert_backends_agree(g, "symbolic")
-
-    @given(g=consistent_connected_sdf_graphs(
-        max_actors=4, max_repetition=3, max_extra_edges=3,
-        max_extra_tokens=1))
-    @settings(max_examples=60, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow,
-                                     HealthCheck.data_too_large])
-    def test_hsdf_agreement(self, g):
-        assert_backends_agree(g, "hsdf")
 
     @given(g=consistent_connected_sdf_graphs(
         max_actors=4, max_repetition=3, max_extra_edges=2,
@@ -104,7 +98,7 @@ def _zero_time_ring():
 
 @pytest.mark.parametrize("method", ["symbolic", "hsdf"])
 def test_zero_execution_time_cycle_agreement(method):
-    """λ = 0 everywhere: both kernels must report unbounded throughput."""
+    """λ = 0 everywhere: every kernel must report unbounded throughput."""
     numpy_result, exact_result = assert_backends_agree(
         _zero_time_ring(), method
     )

@@ -1,11 +1,10 @@
 """Unit tests for the numpy kernel layer (:mod:`repro.kernels`).
 
 Covers the pieces the differential oracle exercises only indirectly:
-the CSR array layout, kernel selection and the no-numpy guard, the
-documented tolerance policy, exact certification, the eigenvalue
-kernel's guards, certificate and cancellation, the numerical-guard
-fallback (with its provenance and metrics trail) and the observability
-surface (span attributes, provenance round trip, schema validation).
+kernel selection and the no-numpy guard, the eigenvalue kernel's
+guards, certificate and cancellation, the numerical-guard fallback
+(with its provenance and metrics trail) and the observability surface
+(span attributes, provenance round trip, schema validation).
 """
 
 from __future__ import annotations
@@ -25,38 +24,18 @@ from repro.kernels import (
     KernelUnavailableError,
     NumericalGuardError,
     available_kernels,
-    check_candidate,
-    float_tolerance,
     numpy_available,
     resolve_kernel,
 )
-from repro.kernels.arraygraph import ArrayGraph
-from repro.kernels.backend import (
-    MAX_EXACT_FLOAT_SUM,
-    RELATIVE_TOLERANCE,
-    _reset_numpy_cache,
-)
-from repro.kernels.mcm import certify_maximum_ratio
+from repro.kernels.backend import MAX_EXACT_FLOAT_SUM, _reset_numpy_cache
 from repro.maxplus.algebra import EPSILON
 from repro.maxplus.matrix import MaxPlusMatrix
 from repro.maxplus.spectral import critical_cycle
-from repro.mcm.graphlib import RatioGraph
 from repro.obs.check import SchemaError, validate_provenance
 from repro.obs.metrics import MetricsRegistry, set_default_registry
 from repro.obs.provenance import ProvenanceRecord
 from repro.obs.trace import Tracer
 from repro.sdf.graph import SDFGraph
-
-
-def _ring_ratio_graph():
-    """w/t ratios: cycle a->b->a has mean (3+5)/2 = 4, self-loop 7/2."""
-    g = RatioGraph()
-    for node in ("a", "b"):
-        g.add_node(node)
-    g.add_edge("a", "b", Fraction(3), 1, key="ab")
-    g.add_edge("b", "a", Fraction(5), 1, key="ba")
-    g.add_edge("a", "a", Fraction(7), 2, key="aa")
-    return g
 
 
 def _small_sdf(execution_time=3):
@@ -90,42 +69,6 @@ def fresh_registry():
         yield registry
     finally:
         set_default_registry(previous)
-
-
-class TestArrayGraph:
-    def test_csr_layout(self):
-        ag = ArrayGraph.from_ratio_graph(_ring_ratio_graph())
-        assert ag.nodes == ["a", "b"]
-        assert ag.node_count == 2 and ag.edge_count == 3
-        # Edge arrays follow insertion order: ab, ba, aa.
-        assert ag.src.tolist() == [0, 1, 0]
-        assert ag.dst.tolist() == [1, 0, 0]
-        assert ag.transits.tolist() == [1, 1, 2]
-        assert ag.weight_ints == [3, 5, 7]
-        assert ag.scale == 1
-        # In-CSR groups edges by target; out-CSR by source.
-        assert ag.in_indptr.tolist() == [0, 2, 3]
-        assert sorted(ag.in_order[:2].tolist()) == [1, 2]  # into a
-        assert ag.in_order[2] == 0                          # into b
-        assert ag.out_indptr.tolist() == [0, 2, 3]
-        assert sorted(ag.out_order[:2].tolist()) == [0, 2]  # out of a
-
-    def test_fractional_weights_share_one_scale(self):
-        g = RatioGraph()
-        g.add_node("a")
-        g.add_edge("a", "a", Fraction(1, 2), 1, key="u")
-        g.add_edge("a", "a", Fraction(2, 3), 1, key="v")
-        ag = ArrayGraph.from_ratio_graph(g)
-        assert ag.scale == 6
-        assert sorted(ag.weight_ints) == [3, 4]
-        assert ag.exact_weight(0) == Fraction(1, 2)
-
-    def test_oversized_weights_trip_the_float_guard(self):
-        g = RatioGraph()
-        g.add_node("a")
-        g.add_edge("a", "a", Fraction(MAX_EXACT_FLOAT_SUM), 1, key="big")
-        with pytest.raises(NumericalGuardError):
-            ArrayGraph.from_ratio_graph(g)
 
 
 class TestKernelSelection:
@@ -162,32 +105,6 @@ class TestKernelSelection:
             assert len(symbolic_iteration(_small_sdf()).firing_starts) == 2
         finally:
             _reset_numpy_cache()
-
-
-class TestTolerancePolicy:
-    def test_tolerance_is_relative_with_absolute_floor(self):
-        assert float_tolerance(Fraction(0)) == RELATIVE_TOLERANCE
-        assert float_tolerance(Fraction(1, 2)) == RELATIVE_TOLERANCE
-        assert float_tolerance(Fraction(1000)) == RELATIVE_TOLERANCE * 1000
-
-    def test_check_candidate(self):
-        check_candidate(4.0, Fraction(4), what="unit")
-        check_candidate(4.0 + 2.0 ** -45, Fraction(4), what="unit")
-        with pytest.raises(NumericalGuardError, match="deviates"):
-            check_candidate(4.0 + 1e-9, Fraction(4), what="unit")
-        with pytest.raises(NumericalGuardError):  # NaN never passes
-            check_candidate(float("nan"), Fraction(4), what="unit")
-
-
-class TestCertification:
-    def test_true_maximum_certifies(self):
-        ag = ArrayGraph.from_ratio_graph(_ring_ratio_graph())
-        certify_maximum_ratio(ag, Fraction(4))
-
-    def test_underestimate_is_rejected(self):
-        ag = ArrayGraph.from_ratio_graph(_ring_ratio_graph())
-        with pytest.raises(NumericalGuardError, match="certif"):
-            certify_maximum_ratio(ag, Fraction(7, 2))
 
 
 def _pair_sdf():
@@ -337,6 +254,15 @@ class TestObservability:
         assert spans["throughput"].args["kernel_used"] == "numpy"
         assert spans["symbolic-conversion"].args["kernel_used"] == "numpy"
         assert spans["mcm-eigenvalue"].args["kernel_used"] == "numpy"
+
+    def test_hsdf_spans_say_exact(self):
+        """The classical baseline has no numpy kernel to select."""
+        with Tracer() as tracer:
+            throughput(_small_sdf(), method="hsdf", kernel="numpy")
+        spans = {s.name: s for s in tracer.spans()}
+        assert spans["throughput"].args["kernel"] == "numpy"   # selected
+        assert spans["throughput"].args["kernel_used"] == "exact"
+        assert spans["howard-mcr"].args["kernel_used"] == "exact"
 
     def test_fallback_visible_on_spans(self):
         with Tracer() as tracer:

@@ -1,7 +1,10 @@
 """Every built-in lint rule: one triggering and one clean fixture."""
 
+from fractions import Fraction
+
 import pytest
 
+from repro.analysis.throughput import throughput
 from repro.csdf.graph import CSDFEdge, CSDFGraph
 from repro.graphs.examples import figure3_graph
 from repro.lint import LintConfig, lint_csdf, lint_scenarios, run_lint
@@ -462,8 +465,6 @@ class TestKernelGuardOverflow:
         assert finding.data["guard_bits"] == 53
 
     def test_fires_on_huge_denominator_lcm(self):
-        from fractions import Fraction
-
         # A fine-grained denominator scales the other actor's (tame)
         # integer time past the guard once both sit on a common base.
         g = ring(t_a=Fraction(1, 2 ** 30 - 1), t_b=2 ** 30)
@@ -481,6 +482,27 @@ class TestKernelGuardOverflow:
     def test_clean_on_small_graphs(self):
         assert "kernel-guard-overflow" not in codes(lint(ring()))
         assert "kernel-guard-overflow" not in codes(lint(figure3_graph()))
+
+    @pytest.mark.parametrize("t_a, t_b", [
+        (2 ** 60, 2 ** 60),
+        (Fraction(1, 2 ** 30 - 1), 2 ** 30),
+    ], ids=["huge-times", "huge-lcm"])
+    def test_flagged_rings_fall_back_to_exact(self, t_a, t_b):
+        """The rule tracks the real guard: a ring it flags trips the
+        numpy path, which reruns on the exact kernel."""
+        pytest.importorskip("numpy")
+        g = ring(t_a=t_a, t_b=t_b)
+        assert "kernel-guard-overflow" in codes(lint(g))
+        record = throughput(g, kernel="numpy").provenance
+        assert record.kernel == "exact"
+        assert record.degradation_reason is not None
+
+    def test_clean_ring_stays_on_numpy(self):
+        pytest.importorskip("numpy")
+        assert "kernel-guard-overflow" not in codes(lint(ring()))
+        record = throughput(ring(), kernel="numpy").provenance
+        assert record.kernel == "numpy"
+        assert record.degradation_reason is None
 
     def test_requires_consistency(self):
         g = SDFGraph("inconsistent")
