@@ -6,7 +6,6 @@ Gives the library's analyses a design-flow-friendly surface::
     python -m repro throughput graph.xml --method symbolic
     python -m repro throughput graph.xml --trace trace.json --metrics m.prom
     python -m repro explain builtin:modem --html report.html --json prov.json
-    python -m repro profile builtin:modem --format json
     python -m repro batch --registry --workers 4 --analysis throughput latency
     python -m repro batch --registry --store .repro-store
     python -m repro cache verify --store .repro-store --json verify.json
@@ -151,21 +150,6 @@ def cmd_throughput(args) -> int:
     print(f"iteration period: {_fmt(result.cycle_time)}")
     for actor, rate in result.per_actor.items():
         print(f"  rate({actor}) = {_fmt(rate)}")
-    return 0
-
-
-def cmd_profile(args) -> int:
-    import json
-
-    from repro.obs.profile import profile_graph
-
-    g = load_graph(args.graph)
-    report = profile_graph(g, methods=tuple(args.method))
-    if args.format == "json":
-        doc = {"schema": "repro-profile-v1", **report.as_dict()}
-        print(json.dumps(doc, indent=2))
-    else:
-        print(report.render())
     return 0
 
 
@@ -621,94 +605,17 @@ def cmd_map(args) -> int:
     return 0
 
 
-def cmd_lint(args) -> int:
-    from repro.analysis.cache import default_cache
-    from repro.lint import (
-        lint_csdf,
-        load_baseline,
-        load_config,
-        render_json,
-        render_sarif,
-        render_text,
-        rule_codes,
-        run_lint,
-        write_baseline,
-    )
+def _run_findings(args, codes, render, *, config_name, collect,
+                  no_input) -> int:
+    """The findings pipeline ``repro lint`` and ``repro devlint`` share.
 
-    def split_codes(raw):
-        if not raw:
-            return ()
-        codes = tuple(code.strip() for code in raw.split(",") if code.strip())
-        unknown = [code for code in codes if code not in rule_codes()]
-        if unknown:
-            print(
-                f"error: unknown rule code(s) {', '.join(unknown)}; "
-                f"registered: {', '.join(rule_codes())}",
-                file=sys.stderr,
-            )
-            raise SystemExit(2)
-        return codes
-
-    config = load_config(args.config).merged(
-        select=split_codes(args.select),
-        ignore=split_codes(args.ignore),
-        baseline=args.baseline,
-    )
-
-    if args.csdf:
-        reports = [lint_csdf(load_csdf(spec), config=config) for spec in args.graphs]
-    else:
-        graphs = []
-        if args.registry:
-            graphs += [case.build() for case in TABLE1_CASES]
-        graphs += [load_graph(spec) for spec in args.graphs]
-        cache = default_cache()
-        reports = [run_lint(g, config=config, cache=cache) for g in graphs]
-    if not reports:
-        print("error: no graphs given (pass specs and/or --registry)", file=sys.stderr)
-        return 2
-
-    if args.write_baseline:
-        count = write_baseline(args.write_baseline, reports)
-        print(
-            f"baseline written to {args.write_baseline} ({count} finding(s))",
-            file=sys.stderr,
-        )
-    if config.baseline:
-        reports = [r.without_fingerprints(load_baseline(config.baseline)) for r in reports]
-
-    render = {"text": render_text, "json": render_json, "sarif": render_sarif}
-    text = render[args.format](reports)
-    if args.output:
-        pathlib.Path(args.output).write_text(text + "\n")
-        print(f"written to {args.output}", file=sys.stderr)
-    else:
-        print(text)
-
-    errors = sum(len(r.errors) for r in reports)
-    warnings = sum(len(r.warnings) for r in reports)
-    if args.fail_on == "never":
-        return 0
-    if errors:
-        return 2
-    if warnings and args.fail_on == "warning":
-        return 1
-    return 0
-
-
-def cmd_devlint(args) -> int:
-    from repro.devlint import CONFIG_FILENAME, DEVLINT, run_devlint
-    from repro.lint import (
-        load_baseline,
-        load_config,
-        render_json,
-        render_sarif,
-        render_text,
-        write_baseline,
-    )
-    from repro.lint.config import LintConfig
-
-    codes = DEVLINT.rule_codes()
+    ``--select``/``--ignore`` are checked against the registry's rule
+    ``codes`` (an unknown code exits 2), ``collect(config)`` produces
+    the reports (none at all exits 2 with ``no_input``), the baseline is
+    written and/or subtracted, ``render[args.format]`` prints the report
+    to ``-o`` or stdout, and ``--fail-on`` picks the exit code.
+    """
+    from repro.lint import load_baseline, load_config, write_baseline
 
     def split_codes(raw):
         if not raw:
@@ -724,16 +631,14 @@ def cmd_devlint(args) -> int:
             raise SystemExit(2)
         return selected
 
-    config = load_config(args.config, filename=CONFIG_FILENAME).merged(
+    config = load_config(args.config, filename=config_name).merged(
         select=split_codes(args.select),
         ignore=split_codes(args.ignore),
         baseline=args.baseline,
     )
-
-    paths = args.paths or ["src/repro"]
-    reports = run_devlint(paths, config=config)
+    reports = collect(config)
     if not reports:
-        print("error: no Python files under the given paths", file=sys.stderr)
+        print(f"error: {no_input}", file=sys.stderr)
         return 2
 
     if args.write_baseline:
@@ -746,13 +651,6 @@ def cmd_devlint(args) -> int:
         fingerprints = load_baseline(config.baseline)
         reports = [r.without_fingerprints(fingerprints) for r in reports]
 
-    rules = DEVLINT.all_rules()
-    render = {
-        "text": lambda rs: render_text(rs, skip_clean=True),
-        "json": lambda rs: render_json(rs, tool_name="repro-devlint"),
-        "sarif": lambda rs: render_sarif(rs, rules=rules,
-                                         tool_name="repro-devlint"),
-    }
     text = render[args.format](reports)
     if args.output:
         pathlib.Path(args.output).write_text(text + "\n")
@@ -769,6 +667,56 @@ def cmd_devlint(args) -> int:
     if warnings and args.fail_on == "warning":
         return 1
     return 0
+
+
+def cmd_lint(args) -> int:
+    from repro.analysis.cache import default_cache
+    from repro.lint import (
+        CONFIG_FILENAME,
+        lint_csdf,
+        render_json,
+        render_sarif,
+        render_text,
+        rule_codes,
+        run_lint,
+    )
+
+    def collect(config):
+        if args.csdf:
+            return [lint_csdf(load_csdf(spec), config=config)
+                    for spec in args.graphs]
+        graphs = []
+        if args.registry:
+            graphs += [case.build() for case in TABLE1_CASES]
+        graphs += [load_graph(spec) for spec in args.graphs]
+        cache = default_cache()
+        return [run_lint(g, config=config, cache=cache) for g in graphs]
+
+    render = {"text": render_text, "json": render_json, "sarif": render_sarif}
+    return _run_findings(
+        args, rule_codes(), render, config_name=CONFIG_FILENAME,
+        collect=collect,
+        no_input="no graphs given (pass specs and/or --registry)",
+    )
+
+
+def cmd_devlint(args) -> int:
+    from repro.devlint import CONFIG_FILENAME, DEVLINT, run_devlint
+    from repro.lint import render_json, render_sarif, render_text
+
+    rules = DEVLINT.all_rules()
+    render = {
+        "text": lambda rs: render_text(rs, skip_clean=True),
+        "json": lambda rs: render_json(rs, tool_name="repro-devlint"),
+        "sarif": lambda rs: render_sarif(rs, rules=rules,
+                                         tool_name="repro-devlint"),
+    }
+    return _run_findings(
+        args, DEVLINT.rule_codes(), render, config_name=CONFIG_FILENAME,
+        collect=lambda config: run_devlint(args.paths or ["src/repro"],
+                                           config=config),
+        no_input="no Python files under the given paths",
+    )
 
 
 def cmd_gantt(args) -> int:
@@ -891,20 +839,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(exact -> symbolic -> Theorem-1 conservative bound)")
     _add_observability_args(p)
     p.set_defaults(func=cmd_throughput)
-
-    p = sub.add_parser(
-        "profile",
-        help="per-stage wall/CPU/peak-memory cost of the throughput back-ends "
-             "(symbolic conversion vs classical HSDF expansion)",
-    )
-    p.add_argument("graph")
-    p.add_argument("--method", nargs="+",
-                   choices=("symbolic", "simulation", "hsdf"),
-                   default=["symbolic", "hsdf"],
-                   help="back-ends to profile (default: symbolic hsdf)")
-    p.add_argument("--format", choices=("text", "json"), default="text",
-                   help="text table or a repro-profile-v1 JSON document")
-    p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser(
         "explain",

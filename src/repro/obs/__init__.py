@@ -11,9 +11,11 @@ offline-benchmark claim.  Three coordinated, zero-dependency pieces:
     Tracer` producing nested spans, piggybacking on the existing
     :meth:`repro.analysis.deadline.Deadline.checkpoint` calls already
     threaded through every hot loop so spans carry live progress
-    counters.  Exports JSONL and Chrome ``trace_event`` JSON (loadable
-    in ``chrome://tracing`` / Perfetto).  Off by default, with
-    near-zero disabled overhead (``benchmarks/bench_obs.py``).
+    counters.  Every span records wall and CPU time, and its peak
+    traced allocation while :mod:`tracemalloc` is tracing.  Exports
+    JSONL and Chrome ``trace_event`` JSON (loadable in
+    ``chrome://tracing`` / Perfetto).  Off by default, with near-zero
+    disabled overhead (``benchmarks/bench_obs.py``).
 
 :mod:`repro.obs.metrics`
     A metrics registry — counters, gauges, fixed-bucket histograms —
@@ -21,12 +23,6 @@ offline-benchmark claim.  Three coordinated, zero-dependency pieces:
     batch retry/quarantine/timeout counts, fallback-tier outcomes, lint
     rule fires) behind one :class:`~repro.obs.metrics.MetricsRegistry`
     with Prometheus-text and JSON exporters and cross-process merging.
-
-:mod:`repro.obs.profile`
-    Profiling hooks: per-stage wall/CPU time and peak-memory
-    attribution (``tracemalloc``/``resource``), surfaced by the
-    ``repro profile`` CLI subcommand as a stage-cost table that
-    visualises the paper's Section 6 cost comparison directly.
 
 :mod:`repro.obs.provenance`
     The analysis flight recorder: every result carries a
@@ -42,9 +38,12 @@ offline-benchmark claim.  Three coordinated, zero-dependency pieces:
 
 :mod:`repro.obs.analyze`
     The consumption side of tracing: span-tree reconstruction from
-    either export format, per-stage self-time attribution, critical
-    paths, cross-run percentile tables and collapsed-stack flamegraphs
-    (``repro obs analyze`` / ``repro obs flame``).
+    either export format, the per-stage cost table (self time, CPU and
+    peak traced memory — the paper's Section 6 comparison of the
+    symbolic conversion against the classical expansion, stage by
+    stage), critical paths, cross-run percentile tables and
+    collapsed-stack flamegraphs (``repro obs analyze`` /
+    ``repro obs flame``).
 
 :mod:`repro.obs.diff`
     Structural A/B diff of two trace summaries or metrics snapshots
@@ -83,7 +82,6 @@ from repro.obs.metrics import (
     default_registry,
     set_default_registry,
 )
-from repro.obs.profile import ProfileReport, StageCost, profile_graph
 from repro.obs.provenance import (
     CycleWitness,
     FlightRecorder,
@@ -107,11 +105,9 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "ProfileReport",
     "ProvenanceRecord",
     "ReductionStep",
     "Span",
-    "StageCost",
     "Tracer",
     "WitnessArc",
     "WitnessError",
@@ -123,7 +119,6 @@ __all__ = [
     "diff_documents",
     "diff_files",
     "evaluate_history",
-    "profile_graph",
     "record_step",
     "recording",
     "render_html",

@@ -12,6 +12,11 @@ it into answers:
   the span *itself*, children subtracted; aggregated into a percentile
   table keyed by ``(stage, graph, kernel)`` so many runs fold into one
   ranking of where time actually goes;
+* **stage costs** — each row of that table also sums the spans' CPU
+  time and keeps their largest traced-allocation peak (recorded when
+  the run had :mod:`tracemalloc` tracing, 0 otherwise), so the same
+  table compares e.g. Algorithm 1's ``symbolic-conversion`` against the
+  classical ``hsdf-expansion`` in wall, CPU and memory;
 * **the critical path** — the root-to-leaf chain of nested spans that
   dominates the wall clock, each hop annotated with its self time;
 * **per-lane attribution** — self time per OS process, so a batch run
@@ -126,7 +131,9 @@ def _rows_from_chrome(data: Any) -> List[Dict[str, Any]]:
                 "start": start,
                 "end": end,
                 "dur": end - start,
-                "cpu": args.pop("cpu_ms", 0) / 1e3 if "cpu_ms" in args else None,
+                "cpu": args.pop("cpu_ms") / 1e3 if "cpu_ms" in args else None,
+                "mem_peak": (round(args.pop("mem_peak_kb") * 1024)
+                             if "mem_peak_kb" in args else None),
                 "args": args,
             }
             rows.append(row)
@@ -278,11 +285,15 @@ def summarize_traces(
                 _inherited(node, ancestors, ("kernel_used", "kernel")),
             )
             bucket = stages.setdefault(key, {
-                "count": 0, "total": 0.0, "self": 0.0, "durations": [],
+                "count": 0, "total": 0.0, "self": 0.0, "cpu": 0.0,
+                "mem_peak": 0, "durations": [],
             })
             bucket["count"] += 1
             bucket["total"] += node.duration
             bucket["self"] += node.self_seconds
+            bucket["cpu"] += node.row.get("cpu") or 0.0
+            bucket["mem_peak"] = max(bucket["mem_peak"],
+                                     node.row.get("mem_peak") or 0)
             bucket["durations"].append(node.duration)
             lane = lanes.setdefault(node.pid, {
                 "spans": 0, "self": 0.0,
@@ -304,6 +315,8 @@ def summarize_traces(
             "self_fraction": (bucket["self"] / wall_seconds
                               if wall_seconds else 0.0),
             "max_seconds": durations[-1],
+            "cpu_seconds": bucket["cpu"],
+            "mem_peak_bytes": bucket["mem_peak"],
         }
         for q in PERCENTILES:
             row[f"p{q}_seconds"] = _percentile(durations, q)
@@ -399,6 +412,10 @@ def _ms(seconds: float) -> str:
     return f"{seconds * 1e3:.1f}ms"
 
 
+def _kib(size: int) -> str:
+    return f"{size / 1024:.1f}KiB"
+
+
 def render_summary_text(summary: Dict[str, Any], top: int = 20) -> str:
     lines = [
         f"trace summary over {len(summary['sources'])} source(s): "
@@ -413,7 +430,8 @@ def render_summary_text(summary: Dict[str, Any], top: int = 20) -> str:
     lines.append("")
     lines.append("self-time attribution by (stage, graph, kernel)")
     header = (f"  {'stage':<28} {'graph':<16} {'kernel':<8} {'n':>4} "
-              f"{'self':>10} {'total':>10} {'p50':>9} {'p90':>9} {'max':>9}")
+              f"{'self':>10} {'total':>10} {'p50':>9} {'p90':>9} {'max':>9} "
+              f"{'cpu':>10} {'peak':>12}")
     lines.append(header)
     shown = summary["stages"][:top]
     for row in shown:
@@ -422,7 +440,8 @@ def render_summary_text(summary: Dict[str, Any], top: int = 20) -> str:
             f"{(row['kernel'] or '-'):<8} {row['count']:>4} "
             f"{_ms(row['self_seconds']):>10} {_ms(row['total_seconds']):>10} "
             f"{_ms(row['p50_seconds']):>9} {_ms(row['p90_seconds']):>9} "
-            f"{_ms(row['max_seconds']):>9}"
+            f"{_ms(row['max_seconds']):>9} {_ms(row['cpu_seconds']):>10} "
+            f"{_kib(row['mem_peak_bytes']):>12}"
         )
     if len(summary["stages"]) > len(shown):
         lines.append(f"  ... {len(summary['stages']) - len(shown)} more stage(s)")

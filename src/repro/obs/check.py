@@ -12,8 +12,6 @@ Dependency-free validators (no jsonschema in this environment) for:
   ``baseline``/``meta`` entries, plus the optional ``host`` stamp);
 * the ``repro-provenance-v1`` certificate written by ``repro explain
   --json`` (and embedded in outcome dicts);
-* the ``repro-profile-v1`` stage-cost table written by ``repro profile
-  --format json``;
 * the SARIF 2.1.0 logs written by ``repro lint`` and ``repro devlint``
   with ``--format sarif`` (what CI uploads to code scanning);
 * the binary ``repro-store-v1`` record files of the durable result
@@ -24,8 +22,9 @@ Dependency-free validators (no jsonschema in this environment) for:
   --json`` and the ``repro-store-stats-v1`` census from ``repro cache
   stats --json``;
 * the ``repro-trace-summary-v1`` analytics document from ``repro obs
-  analyze`` (including its structural invariant: stage self-times
-  partition the forest, so they sum to at most the root durations);
+  analyze`` — the stage-cost table (self, CPU and peak traced memory
+  per stage) — including its structural invariant: stage self-times
+  partition the forest, so they sum to at most the root durations;
 * the ``repro-trace-diff-v1`` A/B diff from ``repro obs diff``;
 * the ``repro-regress-v1`` sentinel verdict from ``repro obs regress``;
 * collapsed-stack flamegraph files from ``repro obs flame``
@@ -64,7 +63,6 @@ __all__ = [
     "validate_collapsed",
     "validate_history",
     "validate_metrics_snapshot",
-    "validate_profile",
     "validate_prometheus_text",
     "validate_provenance",
     "validate_regress",
@@ -80,7 +78,6 @@ __all__ = [
 BENCH_SCHEMA = "repro-bench-v1"
 #: Kept in sync with repro.obs.provenance.PROVENANCE_SCHEMA (tested).
 PROVENANCE_SCHEMA = "repro-provenance-v1"
-PROFILE_SCHEMA = "repro-profile-v1"
 #: Kept in sync with repro.analysis.store.STORE_SCHEMA (tested).
 STORE_SCHEMA = "repro-store-v1"
 STORE_VERIFY_SCHEMA = "repro-store-verify-v1"
@@ -386,39 +383,6 @@ def validate_provenance(data: Any) -> Dict[str, int]:
     _need(kernel is None or (isinstance(kernel, str) and kernel),
           "provenance", "'kernel' must be a non-empty string or null")
     return {"steps": len(steps), "witness_arcs": arcs, "tiers": len(tiers)}
-
-
-# ----------------------------------------------------------------------
-# profile tables
-# ----------------------------------------------------------------------
-
-def validate_profile(data: Any) -> Dict[str, int]:
-    """Validate a ``repro-profile-v1`` stage-cost table."""
-    _need(isinstance(data, dict), "profile", "must be an object")
-    _need(data.get("schema") == PROFILE_SCHEMA, "profile",
-          f"schema must be {PROFILE_SCHEMA!r}, got {data.get('schema')!r}")
-    for key in ("graph", "fingerprint"):
-        _need(isinstance(data.get(key), str) and data[key], "profile",
-              f"needs a non-empty string {key!r}")
-    rows = data.get("rows")
-    _need(isinstance(rows, list) and rows, "profile",
-          "'rows' must be a non-empty array")
-    for index, row in enumerate(rows):
-        where = f"rows[{index}]"
-        _need(isinstance(row, dict), where, "must be an object")
-        for key in ("method", "stage"):
-            _need(isinstance(row.get(key), str) and row[key], where,
-                  f"needs a non-empty string {key!r}")
-        for key in ("wall_seconds", "cpu_seconds", "mem_peak_bytes"):
-            value = row.get(key)
-            _need(isinstance(value, (int, float))
-                  and not isinstance(value, bool) and value >= 0, where,
-                  f"{key!r} must be a non-negative number, got {value!r}")
-        _need(isinstance(row.get("total"), bool), where,
-              "'total' must be a boolean")
-    _need(isinstance(data.get("cycle_times"), dict), "profile",
-          "'cycle_times' must be an object")
-    return {"rows": len(rows), "methods": len(data["cycle_times"])}
 
 
 # ----------------------------------------------------------------------
@@ -786,7 +750,8 @@ def validate_trace_summary(data: Any) -> Dict[str, int]:
         _need(isinstance(row.get("count"), int) and row["count"] >= 1,
               where, f"'count' must be a positive integer, got {row.get('count')!r}")
         for key in ("total_seconds", "self_seconds", "p50_seconds",
-                    "p90_seconds", "p99_seconds", "max_seconds"):
+                    "p90_seconds", "p99_seconds", "max_seconds",
+                    "cpu_seconds", "mem_peak_bytes"):
             _need_number(row.get(key), where, repr(key), minimum=0.0)
         _need(row["self_seconds"] <= row["total_seconds"] + 1e-9, where,
               "self time cannot exceed total time")
@@ -1019,8 +984,6 @@ def check_file(path: Union[str, pathlib.Path]) -> Dict[str, int]:
             return validate_bench(data)
         if data.get("schema") == PROVENANCE_SCHEMA:
             return validate_provenance(data)
-        if data.get("schema") == PROFILE_SCHEMA:
-            return validate_profile(data)
         if data.get("schema") == STORE_VERIFY_SCHEMA:
             return validate_store_verify(data)
         if data.get("schema") == STORE_STATS_SCHEMA:

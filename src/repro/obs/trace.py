@@ -32,6 +32,17 @@ Exports
 * :meth:`Tracer.adopt` — merge span dicts exported by another process
   (the batch runner's per-worker tracers) into this trace under their
   own process lane.
+
+Stage costs
+-----------
+Every span records wall time and thread CPU time.  While
+:mod:`tracemalloc` is tracing (``python -X tracemalloc -m repro …``)
+every span also records ``mem_peak``: the highest traced allocation
+reached while it was open, minus what was already traced when it
+opened — what the stage allocated, not the import footprint.
+``repro obs analyze`` folds all three into one stage-cost table.  The
+tracemalloc peak counter is process-global, so the attribution is
+exact only for single-threaded runs.
 """
 
 from __future__ import annotations
@@ -41,6 +52,7 @@ import json
 import os
 import threading
 import time
+import tracemalloc
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
@@ -102,14 +114,15 @@ class Span:
     exception type into ``args["error"]``.  ``start``/``end`` are
     seconds relative to the tracer's epoch; ``cpu`` is thread CPU time
     consumed between open and close; ``mem_peak`` is the peak traced
-    allocation (bytes, inclusive of children) when the tracer profiles
-    memory.
+    allocation in bytes above the traced size at open (inclusive of
+    children), or ``None`` when :mod:`tracemalloc` was not tracing.
     """
 
     __slots__ = (
         "id", "name", "args", "parent_id", "tid", "pid",
         "start", "end", "cpu", "mem_peak",
-        "_tracer", "_parent", "_token", "_cpu_start", "_progress", "closed",
+        "_tracer", "_parent", "_token", "_cpu_start", "_progress",
+        "_mem_base", "_mem_high", "closed",
     )
 
     def __init__(self, tracer: "Tracer", span_id: str, name: str,
@@ -124,7 +137,11 @@ class Span:
         self.start = tracer._now()
         self.end: Optional[float] = None
         self.cpu: Optional[float] = None
-        self.mem_peak: int = 0
+        self.mem_peak: Optional[int] = None
+        #: Traced size at open, and the highest absolute traced peak
+        #: seen while open (``None``/0 when tracemalloc is off).
+        self._mem_base: Optional[int] = None
+        self._mem_high = 0
         self._tracer = tracer
         self._token: Optional[contextvars.Token] = None
         self._cpu_start = time.thread_time()
@@ -146,10 +163,6 @@ class Span:
             if existing == stage and ref is progress:
                 return
         self._progress.append((stage, progress))
-
-    def note_peak(self, peak_bytes: int) -> None:
-        if peak_bytes > self.mem_peak:
-            self.mem_peak = peak_bytes
 
     @property
     def duration(self) -> Optional[float]:
@@ -173,7 +186,7 @@ class Span:
             "end": self.end,
             "dur": self.duration,
             "cpu": self.cpu,
-            "mem_peak": self.mem_peak or None,
+            "mem_peak": self.mem_peak,
             "args": self.args,
         }
 
@@ -190,14 +203,9 @@ class Tracer:
     records into it from any thread.  All mutation is lock-guarded, so
     the batch runner's thread backend can trace every worker into one
     file, one Chrome lane per thread.
-
-    ``profile=True`` additionally records per-span thread-CPU time and
-    (when :mod:`tracemalloc` is tracing — :mod:`repro.obs.profile`
-    starts it) peak traced memory, attributed inclusively per span.
     """
 
-    def __init__(self, profile: bool = False) -> None:
-        self.profile = profile
+    def __init__(self) -> None:
         self.pid = os.getpid()
         # Span ids must stay unique when traces merge: across processes
         # (the pid) *and* across tracer instances within one process —
@@ -274,12 +282,14 @@ class Tracer:
             span_id = f"{self._id_prefix}.{self._counter:x}"
             self._open += 1
         new = Span(self, span_id, name, args, parent, self._lane())
-        if self.profile:
-            peak = _traced_peak()
-            if peak is not None:
-                if parent is not None:
-                    parent.note_peak(peak)
-                _reset_peak()
+        if tracemalloc.is_tracing():
+            # Hand the peak so far to the parent, then restart the
+            # counter so this span sees only its own high-water mark.
+            traced, peak = tracemalloc.get_traced_memory()
+            if parent is not None and peak > parent._mem_high:
+                parent._mem_high = peak
+            tracemalloc.reset_peak()
+            new._mem_base = new._mem_high = traced
         new._token = _current.set(new)
         return new
 
@@ -297,13 +307,16 @@ class Tracer:
             snapshot = span.args.setdefault("progress", {})
             for stage, ref in span._progress:
                 snapshot[stage] = dict(ref)
-        if self.profile:
-            peak = _traced_peak()
-            if peak is not None:
-                span.note_peak(peak)
-                _reset_peak()
-            if span._parent is not None:
-                span._parent.note_peak(span.mem_peak)
+        if span._mem_base is not None and tracemalloc.is_tracing():
+            high = max(span._mem_high, tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            span.mem_peak = high - span._mem_base
+            parent = span._parent
+            if parent is not None and parent._mem_base is not None:
+                # Inclusive: a parent's peak never reads below a child's,
+                # even when the parent freed older memory before it.
+                parent._mem_high = max(parent._mem_high, high,
+                                       parent._mem_base + span.mem_peak)
         if span._token is not None:
             try:
                 _current.reset(span._token)
@@ -407,7 +420,7 @@ class Tracer:
             args["span_id"] = row["id"]
             if row.get("cpu") is not None:
                 args["cpu_ms"] = round(row["cpu"] * 1e3, 3)
-            if row.get("mem_peak"):
+            if row.get("mem_peak") is not None:
                 args["mem_peak_kb"] = round(row["mem_peak"] / 1024, 1)
             trace_events.append({
                 "name": row["name"],
@@ -463,7 +476,7 @@ class Tracer:
         with self._lock:
             return (
                 f"Tracer(spans={len(self._spans)}, open={self._open}, "
-                f"events={len(self._events)}, profile={self.profile})"
+                f"events={len(self._events)})"
             )
 
 
@@ -515,18 +528,3 @@ def current_span_id() -> Optional[str]:
     """Id of the innermost open span (for stamping outcome records)."""
     current = _current.get()
     return None if current is None else current.id
-
-
-def _traced_peak() -> Optional[int]:
-    import tracemalloc
-
-    if not tracemalloc.is_tracing():
-        return None
-    return tracemalloc.get_traced_memory()[1]
-
-
-def _reset_peak() -> None:
-    import tracemalloc
-
-    if tracemalloc.is_tracing():  # pragma: no branch
-        tracemalloc.reset_peak()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import random
+import tracemalloc
 from contextlib import contextmanager
 
 import pytest
@@ -84,6 +85,26 @@ def ticking_deadlines(tick: float = 0.002):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("repro.analysis.deadline.time", clock)
         yield
+
+
+@contextmanager
+def memory_tracing(on: bool = True):
+    """Switch :mod:`tracemalloc` on (or off) for the block, then put it
+    back the way it was, traceback depth included — so a suite run under
+    ``python -X tracemalloc`` keeps tracing after the test."""
+    was_tracing = tracemalloc.is_tracing()
+    frames = tracemalloc.get_traceback_limit()
+    if on and not was_tracing:
+        tracemalloc.start()
+    elif not on and was_tracing:
+        tracemalloc.stop()
+    try:
+        yield
+    finally:
+        if tracemalloc.is_tracing() and not was_tracing:
+            tracemalloc.stop()
+        elif was_tracing and not tracemalloc.is_tracing():
+            tracemalloc.start(frames)
 
 
 def replay_schedule(graph: SDFGraph, schedule) -> bool:

@@ -252,6 +252,9 @@ class TestThreadSafety:
 
         def slow():
             calls.append(1)
+            # One-sided: the sleep only widens the flight window; a
+            # straggler that misses it hits the stored entry instead, so
+            # either way compute runs once and coalesced + hits == 3.
             time.sleep(0.05)
             return "value"
 
@@ -299,7 +302,11 @@ class TestErrorAccounting:
         def compute():
             if not fail_first.is_set():
                 fail_first.set()
-                time.sleep(0.02)  # let followers pile onto the flight
+                # One-sided: the sleep only lets followers pile onto the
+                # failing flight.  Waiters retry after the failure and
+                # late arrivals compute afresh, so the leader's "error"
+                # and the followers' "recovered" appear at any timing.
+                time.sleep(0.02)
                 raise ValidationError("leader failed")
             return "recovered"
 

@@ -25,6 +25,8 @@ class TestDeadline:
 
     def test_after_expires(self):
         d = Deadline.after(0.01)
+        # One-sided: the sleep only lengthens elapsed time past the
+        # budget, so a slow or loaded host can only make `expired` true.
         time.sleep(0.02)
         assert d.expired
         with pytest.raises(AnalysisTimeout) as exc:
@@ -34,6 +36,8 @@ class TestDeadline:
 
     def test_strided_check_eventually_fires(self):
         d = Deadline.after(0.0, stride=64)
+        # One-sided: a zero budget is spent at creation and the sleep
+        # only adds elapsed time, so the strided clock read can only fire.
         time.sleep(0.005)
         with pytest.raises(AnalysisTimeout):
             for _ in range(65):  # at most one full stride before the clock
@@ -43,6 +47,8 @@ class TestDeadline:
         d = Deadline.after(0.01)
         progress = d.checkpoint("stage-x", {"step": 0})
         progress["step"] = 41
+        # One-sided: the sleep only lengthens elapsed time past the
+        # budget, so check_now() can only raise.
         time.sleep(0.02)
         with pytest.raises(AnalysisTimeout) as exc:
             d.check_now()

@@ -14,6 +14,7 @@ import json
 
 import pytest
 
+from conftest import memory_tracing
 from repro.analysis.cache import AnalysisCache, set_default_cache
 from repro.cli import main
 from repro.obs.analyze import (
@@ -26,7 +27,11 @@ from repro.obs.analyze import (
     summarize_traces,
     write_collapsed,
 )
-from repro.obs.check import validate_collapsed, validate_trace_summary
+from repro.obs.check import (
+    SchemaError,
+    validate_collapsed,
+    validate_trace_summary,
+)
 from repro.obs.metrics import MetricsRegistry, set_default_registry
 from repro.obs.trace import Tracer, span
 
@@ -44,12 +49,13 @@ def fresh_observability_state():
         set_default_cache(previous_cache)
 
 
-def _row(id, parent, name, start, end, pid=1, tid=0, **args):
+def _row(id, parent, name, start, end, pid=1, tid=0, cpu=None,
+         mem_peak=None, **args):
     return {
         "id": id, "parent": parent, "name": name, "pid": pid, "tid": tid,
         "start": start, "end": end,
         "dur": None if end is None else end - start,
-        "cpu": None, "mem_peak": 0, "args": args,
+        "cpu": cpu, "mem_peak": mem_peak, "args": args,
     }
 
 
@@ -174,6 +180,71 @@ class TestSummary:
         text = render_summary_text(summarize_traces([("t", FOREST)]))
         assert "mcm-eigenvalue" in text
         assert "critical path" in text
+
+
+class TestStageCosts:
+    """Each stage row is a cost row: wall, CPU and peak traced memory."""
+
+    RUNS = [
+        _row("a1", None, "throughput", 0.0, 1.0, cpu=0.9, mem_peak=5000,
+             graph="modem"),
+        _row("b1", "a1", "hsdf-expansion", 0.0, 0.4, cpu=0.3,
+             mem_peak=4000),
+        _row("a2", None, "throughput", 2.0, 3.0, cpu=0.8, mem_peak=3000,
+             graph="modem"),
+        _row("b2", "a2", "hsdf-expansion", 2.0, 2.5, cpu=0.5,
+             mem_peak=2500),
+    ]
+
+    def test_rows_sum_cpu_and_keep_the_largest_peak(self):
+        summary = summarize_traces([("t", self.RUNS)])
+        rows = {r["stage"]: r for r in summary["stages"]}
+        assert rows["throughput"]["cpu_seconds"] == pytest.approx(1.7)
+        assert rows["throughput"]["mem_peak_bytes"] == 5000
+        assert rows["hsdf-expansion"]["cpu_seconds"] == pytest.approx(0.8)
+        assert rows["hsdf-expansion"]["mem_peak_bytes"] == 4000
+        validate_trace_summary(summary)
+        text = render_summary_text(summary)
+        assert "cpu" in text and "peak" in text
+        assert "4000" not in text and "3.9KiB" in text
+
+    def test_untraced_memory_reads_zero(self):
+        summary = summarize_traces([("t", FOREST)])
+        assert {r["mem_peak_bytes"] for r in summary["stages"]} == {0}
+        assert {r["cpu_seconds"] for r in summary["stages"]} == {0.0}
+
+    def test_chrome_export_carries_the_same_costs(self, tmp_path):
+        with memory_tracing():
+            with Tracer() as tracer:
+                with span("analyse", graph="g"):
+                    with span("expand"):
+                        buffer = bytearray(300_000)
+                        del buffer
+                    with span("solve"):
+                        buffer = bytearray(100_000)
+                        del buffer
+        jsonl, chrome = tmp_path / "t.jsonl", tmp_path / "t.json"
+        tracer.write_jsonl(jsonl)
+        tracer.write_chrome_trace(chrome)
+        from_jsonl = {r["stage"]: r for r in summarize_files([jsonl])["stages"]}
+        from_chrome = {r["stage"]: r
+                       for r in summarize_files([chrome])["stages"]}
+        assert set(from_jsonl) == set(from_chrome) == {
+            "analyse", "expand", "solve"}
+        assert from_jsonl["expand"]["mem_peak_bytes"] >= 300_000
+        for stage, row in from_jsonl.items():
+            other = from_chrome[stage]
+            # cpu_ms keeps 3 decimals, mem_peak_kb one: half a unit each.
+            assert other["cpu_seconds"] == pytest.approx(
+                row["cpu_seconds"], abs=5e-7)
+            assert abs(other["mem_peak_bytes"]
+                       - row["mem_peak_bytes"]) <= 0.05 * 1024
+
+    def test_validator_rejects_negative_cpu(self):
+        summary = summarize_traces([("t", self.RUNS)])
+        summary["stages"][0]["cpu_seconds"] = -0.1
+        with pytest.raises(SchemaError, match=r"'cpu_seconds' must be >= 0"):
+            validate_trace_summary(summary)
 
 
 class TestCollapsedStacks:

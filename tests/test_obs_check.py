@@ -18,14 +18,12 @@ from repro.obs import check
 from repro.obs import provenance as provenance_mod
 from repro.obs.check import (
     BENCH_SCHEMA,
-    PROFILE_SCHEMA,
     PROVENANCE_SCHEMA,
     SchemaError,
     check_file,
     main,
     validate_bench,
     validate_metrics_snapshot,
-    validate_profile,
     validate_provenance,
     validate_span_jsonl,
 )
@@ -87,20 +85,6 @@ def _provenance(**over):
     return doc
 
 
-def _profile(**over):
-    doc = {
-        "schema": PROFILE_SCHEMA,
-        "graph": "g",
-        "fingerprint": "abc123",
-        "rows": [{"method": "symbolic", "stage": "total",
-                  "wall_seconds": 0.1, "cpu_seconds": 0.1,
-                  "mem_peak_bytes": 1024, "total": True}],
-        "cycle_times": {"symbolic": "31/2"},
-    }
-    doc.update(over)
-    return doc
-
-
 # ----------------------------------------------------------------------
 # truncated JSONL
 # ----------------------------------------------------------------------
@@ -141,11 +125,6 @@ class TestWrongSchemaTag:
                                  r"got 'certificate'"):
             validate_provenance(_provenance(schema="certificate"))
 
-    def test_profile(self):
-        with pytest.raises(SchemaError,
-                           match=r"schema must be 'repro-profile-v1', got None"):
-            validate_profile(_profile(schema=None))
-
     def test_metrics_snapshot(self):
         with pytest.raises(SchemaError, match=r"schema must be"):
             validate_metrics_snapshot({"schema": "nope", "metrics": []})
@@ -176,21 +155,6 @@ class TestNonNumericValues:
         with pytest.raises(SchemaError,
                            match=r"metrics\[0\].samples\[0\]: needs a numeric"):
             validate_metrics_snapshot(doc)
-
-    def test_profile_wall_seconds(self):
-        doc = _profile()
-        doc["rows"][0]["wall_seconds"] = "0.1s"
-        with pytest.raises(SchemaError,
-                           match=r"rows\[0\]: 'wall_seconds' must be a "
-                                 r"non-negative number, got '0.1s'"):
-            validate_profile(doc)
-
-    def test_profile_negative_cost(self):
-        doc = _profile()
-        doc["rows"][0]["cpu_seconds"] = -0.2
-        with pytest.raises(SchemaError, match=r"'cpu_seconds' must be a "
-                                              r"non-negative number"):
-            validate_profile(doc)
 
     def test_provenance_weight_not_a_rational(self):
         doc = _provenance()
@@ -285,11 +249,6 @@ class TestCheckFile:
         path = tmp_path / "certificate.json"
         path.write_text(json.dumps(_provenance()))
         assert check_file(str(path))["witness_arcs"] == 1
-
-    def test_profile_json_is_inferred(self, tmp_path):
-        path = tmp_path / "profile.json"
-        path.write_text(json.dumps(_profile()))
-        assert check_file(str(path)) == {"rows": 1, "methods": 1}
 
     def test_unrecognised_shape(self, tmp_path):
         path = tmp_path / "mystery.json"

@@ -1,4 +1,5 @@
-"""Observability through the CLI: --version, --trace, --metrics, profile."""
+"""Observability through the CLI: --version, --trace, --metrics and
+per-stage costs from ``repro obs analyze``."""
 
 from __future__ import annotations
 
@@ -101,22 +102,31 @@ class TestMetricsFlag:
         assert "repro_lint_findings_total" in names
 
 
-class TestProfile:
-    def test_profile_prints_stage_cost_table(self, capsys):
-        assert main(["profile", "builtin:figure3"]) == 0
-        out = capsys.readouterr().out
-        # Default comparison: symbolic (paper) vs. classical expansion.
-        assert "symbolic" in out
-        assert "hsdf" in out
-        for column in ("wall", "cpu", "peak"):
-            assert column in out
+class TestStageCosts:
+    def test_analyze_compares_symbolic_and_hsdf_stages(self, capsys, tmp_path):
+        """The paper's Section 6 comparison from two traced runs: the
+        symbolic route's stages and the classical expansion's stages
+        each get a cost row with wall and CPU time."""
+        from repro.obs.check import validate_trace_summary
 
-    def test_profile_single_method(self, capsys):
-        assert main(["profile", "builtin:figure3",
-                     "--method", "symbolic"]) == 0
+        traces = []
+        for method in ("symbolic", "hsdf"):
+            traces.append(str(tmp_path / f"{method}.jsonl"))
+            assert main(["throughput", "builtin:figure3", "--method", method,
+                         "--trace", traces[-1]]) == 0
+        summary_path = tmp_path / "summary.json"
+        assert main(["obs", "analyze", *traces,
+                     "--json", str(summary_path)]) == 0
         out = capsys.readouterr().out
-        assert "symbolic" in out
-        assert "hsdf" not in out
+        summary = json.loads(summary_path.read_text())
+        validate_trace_summary(summary)
+        rows = {row["stage"]: row for row in summary["stages"]}
+        for stage in ("symbolic-conversion", "mcm-eigenvalue",
+                      "hsdf-expansion", "howard-mcr"):
+            assert rows[stage]["cpu_seconds"] >= 0.0
+            assert rows[stage]["total_seconds"] > 0.0
+            assert stage in out
+        assert "cpu" in out and "peak" in out
 
 
 class TestBatchObservability:
@@ -234,15 +244,6 @@ class TestExplain:
         assert data["bound_phase_count"] is not None
         verify_witness(mp3_playback(), data)
         assert "conservative" in capsys.readouterr().out
-
-
-class TestProfileJson:
-    def test_profile_format_json_validates(self, capsys):
-        from repro.obs.check import validate_profile
-
-        assert main(["profile", "builtin:figure3", "--format", "json"]) == 0
-        data = json.loads(capsys.readouterr().out)
-        assert validate_profile(data)["rows"] > 0
 
 
 class TestObsFamily:

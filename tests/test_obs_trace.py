@@ -1,4 +1,5 @@
-"""Structured tracing: span nesting, exports, adoption, fast paths."""
+"""Structured tracing: span nesting, exports, adoption, fast paths,
+per-span memory peaks."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import threading
 
 import pytest
 
+from conftest import memory_tracing
 from repro.analysis.deadline import Deadline
 from repro.obs.check import (
     SchemaError,
@@ -315,3 +317,71 @@ class TestAdoptRebasing:
         parent.adopt(foreign)
         (row,) = parent.export_spans()
         assert row["start"] == 3.0
+
+
+KIB = 1024
+
+
+class TestMemoryPeaks:
+    """A plain tracer records each span's traced-allocation peak whenever
+    tracemalloc is tracing, measured from the traced size at open."""
+
+    def test_every_span_records_a_peak_while_tracing(self):
+        with memory_tracing():
+            with Tracer() as tracer:
+                with span("root"):
+                    with span("child"):
+                        pass
+        assert all(isinstance(s.mem_peak, int) and s.mem_peak >= 0
+                   for s in tracer.spans())
+        assert all(row["mem_peak"] is not None
+                   for row in tracer.export_spans())
+        complete = [e for e in tracer.chrome_trace()["traceEvents"]
+                    if e["ph"] == "X"]
+        assert all("mem_peak_kb" in e["args"] for e in complete)
+
+    def test_peaks_stay_null_when_not_tracing(self):
+        with memory_tracing(on=False):
+            with Tracer() as tracer:
+                with span("root"):
+                    with span("child"):
+                        buffer = bytearray(256 * KIB)
+                        del buffer
+        assert [s.mem_peak for s in tracer.spans()] == [None, None]
+        assert all(row["mem_peak"] is None for row in tracer.export_spans())
+        complete = [e for e in tracer.chrome_trace()["traceEvents"]
+                    if e["ph"] == "X"]
+        assert not any("mem_peak_kb" in e["args"] for e in complete)
+
+    def test_parent_peak_covers_child_peak(self):
+        with memory_tracing():
+            older = bytearray(KIB * KIB)
+            with Tracer() as tracer:
+                with span("plain-parent"):
+                    with span("plain-child"):
+                        buffer = bytearray(256 * KIB)
+                        del buffer
+                with span("freeing-parent"):
+                    # Freeing memory that predates the span lowers the
+                    # traced size below the parent's opening baseline.
+                    del older
+                    with span("freeing-child"):
+                        buffer = bytearray(256 * KIB)
+                        del buffer
+        peaks = {s.name: s.mem_peak for s in tracer.spans()}
+        for parent, child in (("plain-parent", "plain-child"),
+                              ("freeing-parent", "freeing-child")):
+            assert peaks[child] >= 256 * KIB
+            assert peaks[parent] >= peaks[child]
+
+    def test_peak_counts_what_the_span_allocated_not_what_was_live(self):
+        with memory_tracing():
+            live = bytearray(KIB * KIB)
+            with Tracer() as tracer:
+                with span("stage") as stage:
+                    buffer = bytearray(256 * KIB)
+                    del buffer
+            assert len(live) == KIB * KIB  # still live across the span
+        assert 256 * KIB <= stage.mem_peak < KIB * KIB
+        (row,) = tracer.export_spans()
+        assert row["mem_peak"] == stage.mem_peak
