@@ -21,6 +21,10 @@ The result therefore has at most ``N(N+2)`` actors, ``N(2N+1)`` edges and
 regardless of how large the repetition vector is.  It preserves the
 iteration timing (same max-plus matrix, hence the same throughput and
 latency) but not the per-firing identity of the traditional conversion.
+
+The graph is built in one validated pass: the structure is collected as
+actor and edge tuples and handed to :meth:`repro.sdf.graph.SDFGraph.from_tuples`,
+so its size, not Σγ or a per-edge builder call, sets the cost.
 """
 
 from __future__ import annotations
@@ -59,7 +63,10 @@ class HsdfConversion:
     ``token_source`` maps each token index to the actor whose completion
     produces ``t'_k`` (useful as the "output actor" hook the paper
     mentions); ``token_entry`` maps each token index to the actor that
-    consumes the token's availability, when any does.
+    consumes the token's availability, when any does.  The observer
+    chains (``observe=`` of :func:`convert_to_hsdf`) account for
+    ``observer_actors`` actors and ``observer_edges`` edges of ``graph``;
+    the rest is the base Figure-4 structure.
     """
 
     graph: SDFGraph
@@ -71,6 +78,7 @@ class HsdfConversion:
     mux_actors: int = 0
     demux_actors: int = 0
     observer_actors: int = 0
+    observer_edges: int = 0
     #: Observed firing label ("actor#i") -> observer sync actor name.
     observers: Dict[str, str] = field(default_factory=dict)
 
@@ -87,12 +95,13 @@ class HsdfConversion:
         return self.graph.total_tokens()
 
     def within_paper_bounds(self) -> bool:
-        """Check the size bounds of Section 6: N(N+2) actors, N(2N+1)
-        edges, N initial tokens."""
+        """Check the size bounds of Section 6 on the base structure:
+        N(N+2) actors, N(2N+1) edges, N initial tokens.  Observer chains
+        are extra and carry no tokens, so they are not counted."""
         n = len(self.token_ids)
         return (
-            self.actor_count <= n * (n + 2)
-            and self.edge_count <= n * (2 * n + 1)
+            self.actor_count - self.observer_actors <= n * (n + 2)
+            and self.edge_count - self.observer_edges <= n * (2 * n + 1)
             and self.token_count <= n
         )
 
@@ -182,6 +191,11 @@ def realise_iteration_matrix(
     model whose iteration admits a max-plus matrix — plain SDF, the
     cyclo-static extension in :mod:`repro.csdf`, a mapped multiprocessor
     graph — reuses the identical construction and size bounds.
+
+    The structure is collected as actor and edge tuples and built by one
+    :meth:`SDFGraph.from_tuples` call, which validates every execution
+    time once: a negative or non-rational coefficient raises the same
+    :class:`ValidationError` the incremental builders would.
     """
     n = len(token_ids)
     if matrix.nrows != n or matrix.ncols != n:
@@ -215,18 +229,19 @@ def realise_iteration_matrix(
                 "dependency; the graph is not token-bound"
             )
 
-    hsdf = SDFGraph(name)
-    conversion = HsdfConversion(
-        graph=hsdf,
-        matrix=matrix,
-        token_ids=tuple(token_ids),
-        token_source={},
-        token_entry={},
-    )
+    # Actor (name, time) and edge (name, source, target, p, c, tokens)
+    # tuples; wiring edges are named e0, e1, ... as add_edge numbers them.
+    coefficients = [
+        (j, k, matrix_actor_name(j, k), value)
+        for (j, k), value in sorted(entries.items())
+    ]
+    actors: List[Tuple[str, object]] = [
+        (actor, _as_time(value)) for _, _, actor, value in coefficients
+    ]
+    edges: List[Tuple[str, str, str, int, int, int]] = []
 
-    for (j, k), value in sorted(entries.items()):
-        hsdf.add_actor(matrix_actor_name(j, k), _as_time(value))
-        conversion.matrix_actors += 1
+    def connect(source: str, target: str) -> None:
+        edges.append((f"e{len(edges)}", source, target, 1, 1, 0))
 
     # Tokens tapped by observers need their demultiplexer even if the
     # base structure would elide it (the tap is an extra consumer).
@@ -236,75 +251,86 @@ def realise_iteration_matrix(
             if stamp[j] != EPSILON:
                 tapped.add(j)
 
-    needs_demux = {
-        j: bool(
-            (not elide_multiplexers and consumers[j])
-            or len(consumers[j]) > 1
-            or j in tapped
-        )
+    # Per token, its demultiplexer / multiplexer name, or None if elided.
+    demux = [
+        demux_name(j)
+        if (not elide_multiplexers and consumers[j])
+        or len(consumers[j]) > 1
+        or j in tapped
+        else None
         for j in range(n)
-    }
-    needs_mux = {
-        k: not elide_multiplexers or len(producers[k]) > 1 for k in range(n)
-    }
-    for j in range(n):
-        if needs_demux[j]:
-            hsdf.add_actor(demux_name(j), 0)
-            conversion.demux_actors += 1
-    for k in range(n):
-        if needs_mux[k]:
-            hsdf.add_actor(mux_name(k), 0)
-            conversion.mux_actors += 1
+    ]
+    mux = [
+        mux_name(k) if not elide_multiplexers or len(producers[k]) > 1 else None
+        for k in range(n)
+    ]
+    actors += [(actor, 0) for actor in demux if actor is not None]
+    actors += [(actor, 0) for actor in mux if actor is not None]
 
     # Wire demultiplexers to matrix actors and matrix actors to multiplexers.
-    for (j, k) in sorted(entries):
-        if needs_demux[j]:
-            hsdf.add_edge(demux_name(j), matrix_actor_name(j, k))
-        if needs_mux[k]:
-            hsdf.add_edge(matrix_actor_name(j, k), mux_name(k))
+    for j, k, actor, _ in coefficients:
+        if demux[j] is not None:
+            connect(demux[j], actor)
+        if mux[k] is not None:
+            connect(actor, mux[k])
 
     # The actor whose completion time is t'_k.
+    token_source: Dict[int, str] = {}
     for k in range(n):
-        if needs_mux[k]:
-            conversion.token_source[k] = mux_name(k)
+        if mux[k] is not None:
+            token_source[k] = mux[k]
         else:
             (j,) = producers[k]
-            conversion.token_source[k] = matrix_actor_name(j, k)
+            token_source[k] = matrix_actor_name(j, k)
 
     # The actor that consumes the availability of old token j, if any.
+    token_entry: Dict[int, str] = {}
     for j in range(n):
-        if needs_demux[j]:
-            conversion.token_entry[j] = demux_name(j)
+        if demux[j] is not None:
+            token_entry[j] = demux[j]
         elif len(consumers[j]) == 1:
             (k,) = consumers[j]
-            conversion.token_entry[j] = matrix_actor_name(j, k)
+            token_entry[j] = matrix_actor_name(j, k)
         # else: token j feeds nothing (its consumer was a sink); no entry.
 
     # Observer chains: demux -> coefficient actor (time w_j) -> sync.
+    base_actors, base_edges = len(actors), len(edges)
+    synced: Dict[str, str] = {}
     for label, stamp in (observers or {}).items():
         sync = f"obs_{label}"
-        hsdf.add_actor(sync, 0)
-        conversion.observer_actors += 1
-        conversion.observers[label] = sync
+        actors.append((sync, 0))
+        synced[label] = sync
         for j in range(n):
             if stamp[j] == EPSILON:
                 continue
             coefficient = f"obsg_{label}_{j}"
-            hsdf.add_actor(coefficient, _as_time(stamp[j]))
-            conversion.observer_actors += 1
-            hsdf.add_edge(demux_name(j), coefficient)
-            hsdf.add_edge(coefficient, sync)
+            actors.append((coefficient, _as_time(stamp[j])))
+            connect(demux[j], coefficient)
+            connect(coefficient, sync)
+    observer_edges = len(edges) - base_edges
+    counter = len(edges)
 
     # Close each token loop: the produced value of token k feeds its own
     # consumption in the next iteration, carrying the single initial token.
-    for k in range(n):
-        entry = conversion.token_entry.get(k)
-        if entry is not None:
-            hsdf.add_edge(
-                conversion.token_source[k], entry, tokens=1, name=f"token_{k}"
-            )
+    edges += [
+        (f"token_{k}", token_source[k], token_entry[k], 1, 1, 1)
+        for k in range(n)
+        if k in token_entry
+    ]
 
-    return conversion
+    return HsdfConversion(
+        graph=SDFGraph.from_tuples(name, actors, edges, counter),
+        matrix=matrix,
+        token_ids=tuple(token_ids),
+        token_source=token_source,
+        token_entry=token_entry,
+        matrix_actors=len(entries),
+        mux_actors=n - mux.count(None),
+        demux_actors=n - demux.count(None),
+        observer_actors=len(actors) - base_actors,
+        observer_edges=observer_edges,
+        observers=synced,
+    )
 
 
 def _as_time(value):

@@ -423,8 +423,9 @@ def _deadline_polling(ctx: FileContext) -> Iterator:
 #: step API (and the recorder accessor used to attach witnesses).
 _RECORD_PRIMITIVES = {"record_step"}
 
-#: Graph-construction markers: a function calling these *builds* a model.
-_BUILD_CALLS = {"add_actor", "add_edge"}
+#: Graph-construction markers: a function calling these *builds* a model
+#: (``from_tuples`` is the whole-graph constructor ``SDFGraph.from_tuples``).
+_BUILD_CALLS = {"add_actor", "add_edge", "from_tuples"}
 _BUILD_CONSTRUCTORS = {"SDFGraph"}
 
 #: Context-manager factories of the tracing/provenance layer.

@@ -142,9 +142,11 @@ def block_walk(graph: SDFGraph, runs: Sequence[Tuple[str, int]], size: int,
     """
     np = require_numpy()
     actors = graph.actor_names
-    times = {a: Fraction(graph.execution_time(a)) for a in actors}
+    # ints carry numerator/denominator too, so no Fraction is built here.
+    times = graph.execution_times
     scale = lcm(1, *(t.denominator for t in times.values()))
-    scaled = {a: int(t * scale) for a, t in times.items()}
+    scaled = {a: t.numerator * (scale // t.denominator)
+              for a, t in times.items()}
     bound = sum(count * scaled[actor] for actor, count in runs)
     if bound >= MAX_EXACT_FLOAT_SUM:
         raise NumericalGuardError(
@@ -152,7 +154,7 @@ def block_walk(graph: SDFGraph, runs: Sequence[Tuple[str, int]], size: int,
             f"times scaled by {scale}) reaches 2**53; float64 stamps "
             "would not be exact"
         )
-    integral = all(isinstance(graph.execution_time(a), int) for a in actors)
+    integral = all(isinstance(t, int) for t in times.values())
 
     fifos = _initial_fifos(np, graph, size)
     # Per actor: in-edges as (fifo, consumption, self-loop gain or None,

@@ -10,12 +10,19 @@ The structure is a directed **multigraph**: parallel edges between the
 same actor pair are permitted and meaningful (the paper's abstraction
 creates them, and :func:`repro.core.pruning.prune_redundant_edges`
 removes the redundant ones).
+
+Graphs are built either incrementally (:meth:`SDFGraph.add_actor`,
+:meth:`SDFGraph.add_edge`) or whole (:meth:`SDFGraph.from_tuples`, which
+validates every field once and is what copies, unpickling and the HSDF
+conversions use).  Both paths run the same field checks and raise the
+same errors.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from numbers import Rational
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -26,14 +33,38 @@ from repro.errors import ValidationError
 _FINGERPRINT_VERSION = "sdfg-v1"
 
 
-def _check_execution_time(value):
-    if isinstance(value, bool) or not isinstance(value, Rational):
+def _check_actor(name, execution_time) -> None:
+    """The field checks of an :class:`Actor`."""
+    if name and type(execution_time) in (int, Fraction) and execution_time >= 0:
+        return  # the common case, decided without the ABC check
+    if not name:
+        raise ValidationError("actor name must be a non-empty string")
+    if isinstance(execution_time, bool) or not isinstance(execution_time, Rational):
         raise ValidationError(
-            f"execution time must be a non-negative int or Fraction, got {value!r}"
+            "execution time must be a non-negative int or Fraction, "
+            f"got {execution_time!r}"
         )
-    if value < 0:
-        raise ValidationError(f"execution time must be non-negative, got {value!r}")
-    return value
+    if execution_time < 0:
+        raise ValidationError(
+            f"execution time must be non-negative, got {execution_time!r}"
+        )
+
+
+def _check_edge(name, production, consumption, tokens) -> None:
+    """The field checks of an :class:`Edge`."""
+    if (name and type(production) is int and type(consumption) is int
+            and type(tokens) is int and production >= 1 and consumption >= 1
+            and tokens >= 0):
+        return  # the common case, decided in one test
+    if not name:
+        raise ValidationError("edge name must be a non-empty string")
+    for label, value in (("production", production), ("consumption", consumption)):
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            raise ValidationError(f"{label} rate must be a positive int, got {value!r}")
+    if not isinstance(tokens, int) or isinstance(tokens, bool) or tokens < 0:
+        raise ValidationError(
+            f"initial token count must be a non-negative int, got {tokens!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -44,9 +75,7 @@ class Actor:
     execution_time: Rational = 0
 
     def __post_init__(self):
-        if not self.name:
-            raise ValidationError("actor name must be a non-empty string")
-        _check_execution_time(self.execution_time)
+        _check_actor(self.name, self.execution_time)
 
 
 @dataclass(frozen=True)
@@ -66,15 +95,7 @@ class Edge:
     tokens: int = 0
 
     def __post_init__(self):
-        if not self.name:
-            raise ValidationError("edge name must be a non-empty string")
-        for label, value in (("production", self.production), ("consumption", self.consumption)):
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ValidationError(f"{label} rate must be a positive int, got {value!r}")
-        if not isinstance(self.tokens, int) or isinstance(self.tokens, bool) or self.tokens < 0:
-            raise ValidationError(
-                f"initial token count must be a non-negative int, got {self.tokens!r}"
-            )
+        _check_edge(self.name, self.production, self.consumption, self.tokens)
 
     @property
     def is_self_loop(self) -> bool:
@@ -113,10 +134,73 @@ class SDFGraph:
     # construction
     # ------------------------------------------------------------------
 
+    @classmethod
+    def from_tuples(
+        cls,
+        name: str,
+        actors: Iterable[Tuple[str, Rational]],
+        edges: Iterable[Tuple[str, str, str, int, int, int]],
+        edge_counter: int = 0,
+    ) -> "SDFGraph":
+        """A whole graph from actor ``(name, execution_time)`` and edge
+        ``(name, source, target, production, consumption, tokens)``
+        tuples, in insertion order.
+
+        The result equals replaying :meth:`add_actor` for every actor and
+        then :meth:`add_edge` (with the given edge name) for every edge:
+        the same records, adjacency order and, on bad input, the same
+        first error.  Each field is checked exactly once, without the
+        per-call record construction checks, endpoint lookups and
+        fingerprint invalidation of the incremental builders.
+        ``edge_counter`` seeds the ``e<i>`` auto-naming of later
+        :meth:`add_edge` calls; a builder that names its edges ``e0``,
+        ``e1``, ... passes their count to match an incremental build.
+
+        >>> g = SDFGraph.from_tuples(
+        ...     "two-actor", [("A", 3), ("B", 1)],
+        ...     [("e0", "A", "B", 1, 2, 2), ("e1", "B", "A", 2, 1, 2)], 2)
+        >>> g.actor_count(), g.edge_count(), g.total_tokens()
+        (2, 2, 4)
+        >>> g.add_edge("A", "A").name
+        'e2'
+        """
+        graph = cls(name)
+        table, out, into, edge_table = graph._actors, graph._out, graph._in, graph._edges
+        # The records' fields are checked here, so they are made without
+        # __init__ (and its __post_init__ re-check): frozen dataclasses
+        # keep their fields in the instance __dict__.
+        new = object.__new__
+        for actor, execution_time in actors:
+            if actor in table:
+                raise _duplicate("actor", actor)
+            _check_actor(actor, execution_time)
+            record = new(Actor)
+            record.__dict__.update(name=actor, execution_time=execution_time)
+            table[actor] = record
+            out[actor] = []
+            into[actor] = []
+        for edge, source, target, production, consumption, tokens in edges:
+            if source not in table or target not in table:
+                graph._require_actor(source)
+                graph._require_actor(target)
+            if edge in edge_table:
+                raise _duplicate("edge", edge)
+            _check_edge(edge, production, consumption, tokens)
+            record = new(Edge)
+            record.__dict__.update(
+                name=edge, source=source, target=target,
+                production=production, consumption=consumption, tokens=tokens,
+            )
+            edge_table[edge] = record
+            out[source].append(edge)
+            into[target].append(edge)
+        graph._edge_counter = edge_counter
+        return graph
+
     def add_actor(self, name: str, execution_time: Rational = 0) -> Actor:
         """Add an actor; raises if the name is already taken."""
         if name in self._actors:
-            raise ValidationError(f"duplicate actor name {name!r}")
+            raise _duplicate("actor", name)
         actor = Actor(name, execution_time)
         self._actors[name] = actor
         self._out[name] = []
@@ -153,7 +237,7 @@ class SDFGraph:
                 if name not in self._edges:
                     break
         elif name in self._edges:
-            raise ValidationError(f"duplicate edge name {name!r}")
+            raise _duplicate("edge", name)
         edge = Edge(name, source, target, production, consumption, tokens)
         self._edges[name] = edge
         self._out[source].append(name)
@@ -340,19 +424,15 @@ class SDFGraph:
     # ------------------------------------------------------------------
 
     def copy(self, name: Optional[str] = None) -> "SDFGraph":
-        clone = SDFGraph(name or self.name)
-        for actor in self._actors.values():
-            clone.add_actor(actor.name, actor.execution_time)
-        for edge in self._edges.values():
-            clone.add_edge(
-                edge.source,
-                edge.target,
-                edge.production,
-                edge.consumption,
-                edge.tokens,
-                name=edge.name,
-            )
-        return clone
+        return SDFGraph.from_tuples(name or self.name, *self._tuples())
+
+    def _tuples(self):
+        """The actor and edge tuples :meth:`from_tuples` takes."""
+        return (
+            tuple((a.name, a.execution_time) for a in self._actors.values()),
+            tuple((e.name, e.source, e.target, e.production, e.consumption,
+                   e.tokens) for e in self._edges.values()),
+        )
 
     def with_self_loops(self, tokens: int = 1) -> "SDFGraph":
         """A copy where every actor without a self-edge gets one.
@@ -417,17 +497,12 @@ class SDFGraph:
     def __reduce__(self):
         """Pickle as compact actor ``(name, time)`` and edge ``(name,
         source, target, p, c, tokens)`` tuples plus the edge counter and
-        the memoised fingerprint; :func:`_rebuild` replays them through
-        the validating builders.  There is deliberately no
+        the memoised fingerprint; :func:`_rebuild` hands them to the
+        validating :meth:`from_tuples`.  There is deliberately no
         ``__setstate__``: a pickle of the former ``__dict__`` layout
         still loads."""
         return _rebuild, (
-            self.name,
-            tuple((a.name, a.execution_time) for a in self._actors.values()),
-            tuple((e.name, e.source, e.target, e.production, e.consumption,
-                   e.tokens) for e in self._edges.values()),
-            self._edge_counter,
-            self._fingerprint,
+            self.name, *self._tuples(), self._edge_counter, self._fingerprint
         )
 
     def stats(self) -> Dict[str, int]:
@@ -446,12 +521,10 @@ class SDFGraph:
 
 def _rebuild(name, actors, edges, edge_counter, fingerprint) -> SDFGraph:
     """Unpickle an :class:`SDFGraph` from :meth:`SDFGraph.__reduce__`."""
-    graph = SDFGraph(name)
-    for actor, execution_time in actors:
-        graph.add_actor(actor, execution_time)
-    for edge, source, target, production, consumption, tokens in edges:
-        graph.add_edge(source, target, production, consumption, tokens,
-                       name=edge)
-    graph._edge_counter = edge_counter
+    graph = SDFGraph.from_tuples(name, actors, edges, edge_counter)
     graph._fingerprint = fingerprint
     return graph
+
+
+def _duplicate(kind: str, name) -> ValidationError:
+    return ValidationError(f"duplicate {kind} name {name!r}")

@@ -66,13 +66,13 @@ def traditional_hsdf(
         else None
     )
 
-    hsdf = SDFGraph(f"{graph.name}-hsdf")
+    copies = []
     for actor in graph.actors:
         for i in range(repetitions[actor.name]):
             if deadline is not None:
                 progress["copies"] += 1
                 deadline.check()
-            hsdf.add_actor(firing_name(actor.name, i), actor.execution_time)
+            copies.append((firing_name(actor.name, i), actor.execution_time))
 
     # Collect minimal delays for each copy pair before materialising edges.
     delays: Dict[Tuple[str, str], int] = {}
@@ -92,8 +92,16 @@ def traditional_hsdf(
                 if key not in delays or iterations_back < delays[key]:
                     delays[key] = iterations_back
 
-    for (source, target), delay in delays.items():
-        hsdf.add_edge(source, target, 1, 1, delay)
+    # Edges are named e0, e1, ... in insertion order, as add_edge would.
+    hsdf = SDFGraph.from_tuples(
+        f"{graph.name}-hsdf",
+        copies,
+        [
+            (f"e{index}", source, target, 1, 1, delay)
+            for index, ((source, target), delay) in enumerate(delays.items())
+        ],
+        len(delays),
+    )
     record_step(
         "traditional-hsdf-expansion",
         before=graph,

@@ -286,6 +286,20 @@ class TestProvenanceHygiene:
         assert finding.line == 2
         assert "record_step" in finding.message
 
+    def test_unrecorded_bulk_builder_fires(self):
+        report = run(
+            """
+            def reduce_graph(graph):
+                actors = [(a.name, a.execution_time) for a in graph.actors]
+                return SDFGraph.from_tuples(graph.name + "-reduced",
+                                            actors, [])
+            """,
+            path="src/repro/core/fixture.py",
+        )
+        (finding,) = only(report, "provenance-hygiene")
+        assert finding.line == 2
+        assert "record_step" in finding.message
+
     def test_recording_builder_is_clean(self):
         report = run(
             """

@@ -10,6 +10,7 @@ from repro.analysis.throughput import throughput
 from repro.core.hsdf_conversion import convert_to_hsdf
 from repro.core.symbolic import symbolic_iteration
 from repro.errors import ValidationError
+from repro.graphs import modem
 from repro.graphs.examples import figure3_graph, section41_example
 from repro.maxplus.algebra import EPSILON
 
@@ -78,3 +79,30 @@ class TestObservers:
         conv = convert_to_hsdf(g, observe=[("R", 0)])
         result = throughput(conv.graph, method="simulation")
         assert result.cycle_time == 7
+
+
+class TestPaperBounds:
+    """Section 6's N(N+2) / N(2N+1) / N bounds cover the base structure;
+    observer chains come on top and are not counted."""
+
+    def test_observed_conversion_is_within_bounds(self):
+        g = modem()
+        firings = list(symbolic_iteration(g).firing_completions)[:20]
+        observed = convert_to_hsdf(g, observe=firings)
+        plain = convert_to_hsdf(g)
+        n = len(observed.token_ids)
+        # The whole graph exceeds both bounds (14 tokens: 224 and 406)...
+        assert (observed.actor_count, observed.edge_count) == (408, 735)
+        assert observed.actor_count > n * (n + 2)
+        assert observed.edge_count > n * (2 * n + 1)
+        # ...its base structure is the unobserved conversion's.
+        assert (observed.observer_actors, observed.observer_edges) == (224, 408)
+        assert observed.actor_count - observed.observer_actors == plain.actor_count
+        assert observed.edge_count - observed.observer_edges == plain.edge_count
+        assert observed.within_paper_bounds()
+
+    def test_unobserved_conversion_counts_unchanged(self):
+        plain = convert_to_hsdf(modem())
+        assert (plain.actor_count, plain.edge_count, plain.token_count) == (184, 327, 14)
+        assert plain.observer_actors == plain.observer_edges == 0
+        assert plain.within_paper_bounds()

@@ -99,12 +99,16 @@ class TestConservativeFallback:
             assert rate <= exact.per_actor[actor]
 
     def test_timed_out_outcome_has_no_rates(self):
+        # On the class's ticking clock (autouse fixture above) every
+        # budget here expires at its stage's first poll, however fast
+        # the host: no stage can finish, so the outcome is timed out.
         policy = AnalysisPolicy(
             timeout=0.003,
             stage_timeouts={"simulation": 0.001, "symbolic": 0.001,
                             "abstraction": 0.001},
         )
         outcome = policy.run(mp3_playback())
+        assert [a.status for a in outcome.provenance] == ["timeout"] * 3
         assert outcome.status == TIMED_OUT
         assert not outcome.sound
         with pytest.raises(ReproError):

@@ -111,6 +111,63 @@ class TestGraphBuilder:
         assert all(a.execution_time == 2 for a in g.actors)
 
 
+def _incremental(name, actors, edges, edge_counter=0):
+    """What ``SDFGraph.from_tuples`` must equal: the builders replayed."""
+    graph = SDFGraph(name)
+    for actor, execution_time in actors:
+        graph.add_actor(actor, execution_time)
+    for edge, source, target, production, consumption, tokens in edges:
+        graph.add_edge(source, target, production, consumption, tokens,
+                       name=edge)
+    graph._edge_counter = edge_counter
+    return graph
+
+
+_GOOD_ACTORS = [("a", 2), ("b", Fraction(3, 2)), ("c", 0)]
+_GOOD_EDGES = [("e0", "a", "b", 2, 3, 1), ("x", "b", "c", 1, 1, 0),
+               ("e1", "c", "a", 3, 2, 4), ("e2", "a", "b", 2, 3, 0)]
+
+
+class TestFromTuples:
+    def test_equals_incremental_build(self):
+        bulk = SDFGraph.from_tuples("g", _GOOD_ACTORS, _GOOD_EDGES, 3)
+        replay = _incremental("g", _GOOD_ACTORS, _GOOD_EDGES, 3)
+        assert bulk.__reduce__()[1] == replay.__reduce__()[1]
+        assert bulk.actors == replay.actors and bulk.edges == replay.edges
+        assert bulk._in == replay._in and bulk._out == replay._out
+        assert bulk.fingerprint() == replay.fingerprint()
+        assert bulk.add_edge("c", "c").name == replay.add_edge("c", "c").name
+
+    def test_records_compare_and_hash_like_constructed_ones(self):
+        bulk = SDFGraph.from_tuples("g", _GOOD_ACTORS, _GOOD_EDGES)
+        assert bulk.actor("b") == Actor("b", Fraction(3, 2))
+        assert hash(bulk.edge("x")) == hash(Edge("x", "b", "c", 1, 1, 0))
+
+    @pytest.mark.parametrize("actors, edges", [
+        (_GOOD_ACTORS + [("a", 1)], []),
+        ([("", 1)], []),
+        ([("a", -1)], []),
+        ([("a", 0.5)], []),
+        ([("a", True)], []),
+        ([("a", -1), ("a", 1)], []),
+        (_GOOD_ACTORS, [("e0", "a", "ghost", 1, 1, 0)]),
+        (_GOOD_ACTORS, [("e0", "ghost", "a", 1, 1, 0)]),
+        (_GOOD_ACTORS, [("e0", "a", "b", 1, 1, 0), ("e0", "b", "c", 1, 1, 0)]),
+        (_GOOD_ACTORS, [("", "a", "b", 1, 1, 0)]),
+        (_GOOD_ACTORS, [("e0", "a", "b", 0, 1, 0)]),
+        (_GOOD_ACTORS, [("e0", "a", "b", 1, 2.0, 0)]),
+        (_GOOD_ACTORS, [("e0", "a", "b", True, 1, 0)]),
+        (_GOOD_ACTORS, [("e0", "a", "b", 1, 1, -1)]),
+        (_GOOD_ACTORS, [("e0", "a", "b", 1, 1, Fraction(1))]),
+    ])
+    def test_errors_match_incremental_build(self, actors, edges):
+        with pytest.raises(ValidationError) as replayed:
+            _incremental("g", actors, edges)
+        with pytest.raises(ValidationError) as bulk:
+            SDFGraph.from_tuples("g", actors, edges)
+        assert str(bulk.value) == str(replayed.value)
+
+
 class TestInspection:
     def test_adjacency(self, simple_ring):
         assert [e.target for e in simple_ring.out_edges("X")] == ["Y"]

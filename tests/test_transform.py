@@ -41,6 +41,20 @@ class TestStructure:
         h = traditional_hsdf(case.build())
         assert h.actor_count() == case.paper_traditional
 
+    @pytest.mark.parametrize("case", TABLE1_CASES, ids=lambda c: c.name)
+    def test_bulk_build_matches_incremental_build(self, case):
+        """The expansion is built in one ``SDFGraph.from_tuples`` call;
+        replaying it through ``add_actor``/``add_edge`` with auto-named
+        edges gives the same pickled state, edge counter included."""
+        h = traditional_hsdf(case.build())
+        replay = SDFGraph(h.name)
+        for actor in h.actors:
+            replay.add_actor(actor.name, actor.execution_time)
+        for edge in h.edges:
+            replay.add_edge(edge.source, edge.target, 1, 1, edge.tokens)
+        assert replay.__reduce__()[1] == h.__reduce__()[1]
+        assert replay._in == h._in and replay._out == h._out
+
 
 class TestDependencyFormula:
     def test_self_loop_serialises_copies(self):
