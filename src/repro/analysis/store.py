@@ -71,6 +71,7 @@ from repro.obs.trace import add_event
 __all__ = [
     "DEFAULT_MAX_BYTES",
     "STORE_SCHEMA",
+    "STORE_STATS_SCHEMA",
     "ResultStore",
     "StoreStats",
     "VerifyReport",
@@ -78,6 +79,8 @@ __all__ = [
 
 #: Schema tag of record files and the first line of every record.
 STORE_SCHEMA = "repro-store-v1"
+#: Schema tag of the ``repro cache stats --json`` census.
+STORE_STATS_SCHEMA = "repro-store-stats-v1"
 _MAGIC = (STORE_SCHEMA + "\n").encode("ascii")
 
 #: Default size budget: plenty for every registry sweep, small enough

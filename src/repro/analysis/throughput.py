@@ -195,8 +195,8 @@ def throughput(
 
     ``kernel`` selects the computational backend: ``"exact"`` is the
     reference Fraction implementation, ``"numpy"`` the vectorized
-    kernels (:mod:`repro.kernels`), and ``"auto"`` (default) picks
-    numpy when it is importable.  Both backends return *bit-identical*
+    kernels (:mod:`repro.kernels`), and ``"auto"`` (default) is
+    ``"numpy"``.  Both backends return *bit-identical*
     results — the numpy path re-derives and certifies its answer
     exactly — so the choice never changes semantics (and is therefore
     not part of analysis cache keys).  When a numerical guard trips,

@@ -319,7 +319,11 @@ def cmd_batch(args) -> int:
 def cmd_cache(args) -> int:
     import json
 
-    from repro.analysis.store import DEFAULT_MAX_BYTES, ResultStore
+    from repro.analysis.store import (
+        DEFAULT_MAX_BYTES,
+        STORE_STATS_SCHEMA,
+        ResultStore,
+    )
 
     max_bytes = getattr(args, "max_bytes", None)
     store = ResultStore(args.store, max_bytes=max_bytes
@@ -328,7 +332,7 @@ def cmd_cache(args) -> int:
     if args.action == "stats":
         stats = store.stats()
         if args.json:
-            doc = {"schema": "repro-store-stats-v1", **stats.as_dict()}
+            doc = {"schema": STORE_STATS_SCHEMA, **stats.as_dict()}
             print(json.dumps(doc, indent=2))
         else:
             print(f"store:       {stats.root}")
@@ -827,8 +831,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", choices=("auto", "numpy", "exact"),
                    default="auto",
                    help="compute kernel: numpy (vectorized, exact-certified), "
-                        "exact (pure-python Fractions) or auto (numpy when "
-                        "available); results are identical either way, and "
+                        "exact (pure-python Fractions) or auto (numpy); "
+                        "results are identical either way, and "
                         "--method hsdf always runs exact")
     p.add_argument("--lint", action="store_true",
                    help="lint first; refuse graphs with error findings")

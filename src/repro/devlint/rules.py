@@ -18,8 +18,6 @@ here only so their metadata reaches the SARIF driver and the docs.
 from __future__ import annotations
 
 import ast
-import pathlib
-import re
 from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.devlint.context import FileContext, FunctionNode, ProjectIndex
@@ -48,11 +46,6 @@ DETERMINISTIC_MODULES = (
 #: Modules owning crash-consistent on-disk state: every write must
 #: follow the durable publish protocol (see docs/robustness.md).
 DURABLE_MODULES = ("analysis/store.py",)
-
-#: Modules whose declared artefact schemas must be validatable: a
-#: ``*_SCHEMA = "repro-...-vN"`` constant here needs a matching
-#: validator routed through ``repro.obs.check``.
-SCHEMA_MODULES = ("obs/",)
 
 #: The cooperative-deadline poll methods (``repro.analysis.deadline``).
 _POLL_METHODS = {"check", "check_now", "checkpoint", "raise_if_cancelled"}
@@ -856,66 +849,6 @@ def _mutable_default(ctx: FileContext) -> Iterator:
                     node=default,
                     fix="default to None and create the container in "
                         "the body",
-                )
-
-
-_SCHEMA_TAG = re.compile(r"^repro-[a-z0-9-]+-v\d+$")
-
-
-@rule(
-    code="schema-validator-sync",
-    category="hygiene",
-    severity=ERROR,
-    summary="declared artefact schema has no validator in obs/check.py",
-)
-def _schema_validator_sync(ctx: FileContext) -> Iterator:
-    """Every artefact schema the obs package declares — a module-level
-    ``SCHEMA``/``*_SCHEMA`` constant holding a ``repro-...-vN`` tag —
-    must be recognised by :mod:`repro.obs.check`, or CI cannot gate the
-    new artefact and the schema silently becomes write-only.  The
-    contract is satisfied when the sibling ``check.py`` either repeats
-    the literal tag (the "kept in sync" constant idiom) or imports the
-    constant by name (the ``from repro.obs.metrics import SCHEMA``
-    idiom)."""
-    scopes = ctx.scope_option("schema-modules", SCHEMA_MODULES)
-    if not ctx.in_modules(scopes) or ctx.pkg_path.endswith("check.py"):
-        return
-    check_path = pathlib.Path(ctx.path).resolve().parent / "check.py"
-    try:
-        check_source = check_path.read_text()
-    except OSError:
-        return
-    for node in ctx.tree.body:
-        if isinstance(node, ast.Assign):
-            targets = [t for t in node.targets if isinstance(t, ast.Name)]
-            value = node.value
-        elif isinstance(node, ast.AnnAssign) \
-                and isinstance(node.target, ast.Name):
-            targets = [node.target]
-            value = node.value
-        else:
-            continue
-        if not (isinstance(value, ast.Constant)
-                and isinstance(value.value, str)
-                and _SCHEMA_TAG.match(value.value)):
-            continue
-        for target in targets:
-            name = target.id
-            if name != "SCHEMA" and not name.endswith("_SCHEMA"):
-                continue
-            known = (
-                value.value in check_source
-                or re.search(rf"\b{re.escape(name)}\b", check_source)
-            )
-            if not known:
-                yield ctx.diag(
-                    "schema-validator-sync",
-                    f"schema {value.value!r} ({name}) is not validatable: "
-                    "obs/check.py neither repeats the tag nor imports "
-                    "the constant",
-                    node=node,
-                    fix="add a validate_* function for the new schema and "
-                        "route it through check_file",
                 )
 
 

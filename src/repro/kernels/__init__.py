@@ -33,9 +33,10 @@ The classical ``method="hsdf"`` baseline has no numpy kernel: it
 always runs exact Howard (:func:`repro.mcm.howard.howard_mcr`) and
 records ``kernel: "exact"``.
 
-numpy itself is imported lazily: with numpy absent, ``kernel="auto"``
-resolves to the exact backend and only an explicit ``kernel="numpy"``
-raises :class:`KernelUnavailableError`.
+numpy is a plain dependency and ``kernel="auto"`` means the numpy
+kernels; ``kernel="exact"`` runs the reference implementations.  The
+kernel modules import numpy at their top and are imported only when a
+numpy kernel runs, so ``import repro`` does not load numpy.
 
 See ``docs/kernels.md`` for the array layouts, the certificates and
 the differential-oracle testing recipe (``tests/test_kernel_oracle.py``).
@@ -43,26 +44,16 @@ the differential-oracle testing recipe (``tests/test_kernel_oracle.py``).
 
 from repro.kernels.backend import (
     KERNELS,
-    KernelUnavailableError,
     NumericalGuardError,
-    available_kernels,
-    numpy_available,
-    numpy_or_none,
     record_fallback,
     record_selection,
-    require_numpy,
     resolve_kernel,
 )
 
 __all__ = [
     "KERNELS",
-    "KernelUnavailableError",
     "NumericalGuardError",
-    "available_kernels",
-    "numpy_available",
-    "numpy_or_none",
     "record_fallback",
     "record_selection",
-    "require_numpy",
     "resolve_kernel",
 ]

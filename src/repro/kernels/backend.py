@@ -1,17 +1,14 @@
-"""Kernel selection, numerical guards and the lazy numpy import.
+"""Kernel selection and numerical guards.
 
 The analysis layers accept a ``kernel="auto"|"numpy"|"exact"`` knob.
-This module owns the three pieces every kernel shares:
+This module owns the pieces every kernel shares:
 
 * **Selection** — :func:`resolve_kernel` maps the knob to a concrete
-  backend.  ``"auto"`` prefers numpy when it imports, silently falling
-  back to the exact path otherwise; an *explicit* ``"numpy"`` without
-  numpy raises :class:`KernelUnavailableError` instead of silently
-  degrading.
-* **Laziness** — numpy is imported exactly once, on first use, via
-  :func:`numpy_or_none`.  Nothing in :mod:`repro` imports numpy at
-  module load, so the exact path works on hosts without it (the
-  no-numpy guard test mocks the import away to prove it).
+  backend: ``"auto"`` is ``"numpy"`` (a plain dependency), and
+  ``"exact"`` is the reference implementation the numpy kernels fall
+  back to.  The kernel modules import numpy at their top and are
+  themselves imported only when a numpy kernel runs, so ``import
+  repro`` does not load numpy.
 * **Guards** — the numpy kernels promise *bit-identical* results to the
   exact-Fraction reference.  They keep that promise by using float64
   only inside regimes where it is exact, and by certifying candidate
@@ -33,14 +30,9 @@ __all__ = [
     "KERNELS",
     "MAX_EXACT_FLOAT_SUM",
     "MAX_INT64_SUM",
-    "KernelUnavailableError",
     "NumericalGuardError",
-    "available_kernels",
-    "numpy_available",
-    "numpy_or_none",
     "record_fallback",
     "record_selection",
-    "require_numpy",
     "resolve_kernel",
 ]
 
@@ -57,10 +49,6 @@ MAX_EXACT_FLOAT_SUM = 2 ** 53
 MAX_INT64_SUM = 2 ** 62
 
 
-class KernelUnavailableError(ReproError, RuntimeError):
-    """An explicitly requested kernel backend cannot run here."""
-
-
 class NumericalGuardError(ReproError, ArithmeticError):
     """A numpy kernel cannot guarantee exactness; use the exact kernel.
 
@@ -71,70 +59,14 @@ class NumericalGuardError(ReproError, ArithmeticError):
     """
 
 
-# Cached lazy import: _UNSET until the first probe, then the module
-# object or None.  Tests reset it via _reset_numpy_cache() when they
-# mock the import away.
-_UNSET = object()
-_numpy_module = _UNSET
-
-
-def numpy_or_none():
-    """Return the numpy module, or ``None`` when it cannot be imported."""
-    global _numpy_module
-    if _numpy_module is _UNSET:
-        try:
-            import numpy
-        except ImportError:
-            _numpy_module = None
-        else:
-            _numpy_module = numpy
-    return _numpy_module
-
-
-def _reset_numpy_cache() -> None:
-    """Forget the cached import probe (test hook)."""
-    global _numpy_module
-    _numpy_module = _UNSET
-
-
-def numpy_available() -> bool:
-    """True when the numpy backend can run in this interpreter."""
-    return numpy_or_none() is not None
-
-
-def require_numpy():
-    """Return numpy or raise :class:`KernelUnavailableError`."""
-    module = numpy_or_none()
-    if module is None:
-        raise KernelUnavailableError(
-            "kernel 'numpy' requested but numpy is not importable; "
-            "use kernel='auto' (silent exact fallback) or kernel='exact'"
-        )
-    return module
-
-
-def available_kernels() -> Tuple[str, ...]:
-    """Concrete backends that can run here (always includes 'exact')."""
-    return ("numpy", "exact") if numpy_available() else ("exact",)
-
-
 def resolve_kernel(kernel: str) -> str:
-    """Map the ``kernel=`` knob to a concrete backend name.
-
-    ``"auto"`` resolves to ``"numpy"`` when numpy imports and to
-    ``"exact"`` otherwise.  An explicit ``"numpy"`` on a host without
-    numpy raises :class:`KernelUnavailableError`; unknown names raise
-    :class:`ValueError`.
-    """
+    """Map the ``kernel=`` knob to a concrete backend name: ``"auto"``
+    is ``"numpy"``; unknown names raise :class:`ValueError`."""
     if kernel not in KERNELS:
         raise ValueError(
             f"unknown kernel {kernel!r}; expected one of {', '.join(KERNELS)}"
         )
-    if kernel == "auto":
-        return "numpy" if numpy_available() else "exact"
-    if kernel == "numpy":
-        require_numpy()
-    return kernel
+    return "numpy" if kernel == "auto" else kernel
 
 
 def record_selection(kernel: str, method: str) -> None:

@@ -46,11 +46,12 @@ from itertools import chain
 from math import lcm
 from typing import List
 
+import numpy as np
+
 from repro.kernels.backend import (
     MAX_EXACT_FLOAT_SUM,
     MAX_INT64_SUM,
     NumericalGuardError,
-    require_numpy,
 )
 from repro.maxplus.algebra import EPSILON
 from repro.maxplus.matrix import MaxPlusMatrix
@@ -69,7 +70,6 @@ def critical_cycle_numpy(matrix: MaxPlusMatrix,
     graph is acyclic.  ``deadline`` is polled once per Karp level and
     per certificate round under the ``karp-mcm`` progress keys.
     """
-    np = require_numpy()
     if matrix.nrows != matrix.ncols:
         raise ValueError("precedence graph requires a square matrix")
     n = matrix.nrows
@@ -79,7 +79,7 @@ def critical_cycle_numpy(matrix: MaxPlusMatrix,
     if deadline is not None:
         progress = deadline.checkpoint(
             "karp-mcm", {"scc": 0, "level": 0, "levels": n})
-    dense, scale = _encode(np, matrix.rows)
+    dense, scale = _encode(matrix.rows)
     targets, sources = np.nonzero(dense > -np.inf)
     if not targets.size:
         return CycleRatioResult(None)
@@ -96,16 +96,16 @@ def critical_cycle_numpy(matrix: MaxPlusMatrix,
     heads = np.flatnonzero(filled)
     starts = indptr[:-1][filled]
 
-    levels = _karp_levels(np, sources, weights, starts, heads, n,
-                          deadline, progress)
-    node = _critical_node(np, levels)
+    levels = _karp_levels(sources, weights, starts, heads, n, deadline,
+                          progress)
+    node = _critical_node(levels)
     if node is None:
         return CycleRatioResult(None)
-    cycle = _backtrack(np, levels, sources, weights, indptr, node)
+    cycle = _backtrack(levels, sources, weights, indptr, node)
 
     total = sum(int(weights[e]) for e in cycle)
     mean = Fraction(total, len(cycle))
-    _certify(np, sources, weights, starts, heads, n, largest,
+    _certify(sources, weights, starts, heads, n, largest,
              mean.numerator, mean.denominator, deadline)
     rows = matrix.rows
     edges = [
@@ -115,7 +115,7 @@ def critical_cycle_numpy(matrix: MaxPlusMatrix,
     return CycleRatioResult(mean / scale, edges).check()
 
 
-def _encode(np, rows):
+def _encode(rows):
     """The rows as a float64 array scaled to integers, and the scale.
 
     A type census decides the route: rows of ints and ε go to
@@ -136,8 +136,7 @@ def _encode(np, rows):
             f"matrix entry beyond float64 range: {error}") from error
 
 
-def _karp_levels(np, sources, weights, starts, heads, n, deadline,
-                 progress):
+def _karp_levels(sources, weights, starts, heads, n, deadline, progress):
     """``D_0 … D_n``: best ``k``-edge walk weights from any node."""
     levels = np.full((n + 1, n), -np.inf)
     levels[0] = 0.0
@@ -151,7 +150,7 @@ def _karp_levels(np, sources, weights, starts, heads, n, deadline,
     return levels
 
 
-def _critical_node(np, levels):
+def _critical_node(levels):
     """A node maximising Karp's ``min_k (D_n − D_k)/(n − k)``, or
     ``None`` when no ``n``-edge walk exists (acyclic)."""
     n = levels.shape[1]
@@ -163,7 +162,7 @@ def _critical_node(np, levels):
     return int(live[means.argmax()])
 
 
-def _backtrack(np, levels, sources, weights, indptr, node) -> List[int]:
+def _backtrack(levels, sources, weights, indptr, node) -> List[int]:
     """Edge indices of the first cycle on the best ``n``-edge walk into
     ``node``, in walk order.
 
@@ -190,7 +189,7 @@ def _backtrack(np, levels, sources, weights, indptr, node) -> List[int]:
     raise NumericalGuardError("critical walk revisits no node")
 
 
-def _certify(np, sources, weights, starts, heads, n, largest, p, q,
+def _certify(sources, weights, starts, heads, n, largest, p, q,
              deadline) -> None:
     """Prove no cycle mean exceeds ``p/q`` (scaled units) with an int64
     Bellman fixpoint of the reduced weights ``q·w − p``."""

@@ -45,12 +45,14 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.errors import (
     ConvergenceError,
     DeadlockError,
     UnboundedThroughputError,
 )
-from repro.kernels.backend import NumericalGuardError, require_numpy
+from repro.kernels.backend import NumericalGuardError
 from repro.sdf.graph import SDFGraph
 from repro.sdf.simulation import SelfTimedSimulation, SimulatedThroughput
 
@@ -69,7 +71,6 @@ class _ArraySimulation:
 
     def __init__(self, graph: SDFGraph, deadline=None,
                  record_bindings: bool = False):
-        np = require_numpy()
         for actor in graph.actor_names:
             if not graph.in_edges(actor):
                 raise UnboundedThroughputError(
@@ -78,7 +79,6 @@ class _ArraySimulation:
                     "add a self-edge with one initial token to bound it",
                     actor=actor,
                 )
-        self.np = np
         self.graph = graph
         self.deadline = deadline
         self.actors: List[str] = list(graph.actor_names)
@@ -131,7 +131,6 @@ class _ArraySimulation:
     # -- mechanics ------------------------------------------------------
 
     def _start_enabled_firings(self) -> None:
-        np = self.np
         if not self.actors:
             return
         ordered = self.in_order
@@ -185,7 +184,6 @@ class _ArraySimulation:
         return not self.pending
 
     def step(self) -> None:
-        np = self.np
         next_time = min(self.pending)
         counts = self.pending.pop(next_time)
         self.now = next_time
@@ -219,7 +217,7 @@ class _ArraySimulation:
         relative = tuple(sorted(
             (end - self.now, self.actors[index], int(count[index]))
             for end, count in self.pending.items()
-            for index in self.np.nonzero(count)[0]
+            for index in np.nonzero(count)[0]
         ))
         return (self.tokens.tobytes(), relative)
 
@@ -241,7 +239,6 @@ def simulation_throughput_numpy(
     :class:`~repro.sdf.simulation.SimulatedThroughput`, including
     bindings and the start window when ``witness=True``.
     """
-    require_numpy()
     progress = (
         deadline.checkpoint(
             "state-space-exploration",

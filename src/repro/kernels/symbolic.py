@@ -40,12 +40,10 @@ from functools import partial
 from math import isinf, lcm
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.symbolic import check_whole_iteration, not_admissible
-from repro.kernels.backend import (
-    MAX_EXACT_FLOAT_SUM,
-    NumericalGuardError,
-    require_numpy,
-)
+from repro.kernels.backend import MAX_EXACT_FLOAT_SUM, NumericalGuardError
 from repro.maxplus.algebra import EPSILON
 from repro.sdf.graph import SDFGraph
 from repro.sdf.schedule import run_limit
@@ -56,10 +54,9 @@ __all__ = ["block_walk"]
 class _Fifo:
     """A channel: a FIFO of stamp blocks (views are never written to)."""
 
-    __slots__ = ("np", "blocks", "length")
+    __slots__ = ("blocks", "length")
 
-    def __init__(self, np):
-        self.np = np
+    def __init__(self):
         self.blocks: deque = deque()
         self.length = 0
 
@@ -80,10 +77,10 @@ class _Fifo:
                 break
             parts.append(self.blocks.popleft())
             n -= len(head)
-        return parts[0] if len(parts) == 1 else self.np.concatenate(parts)
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def rows(self):
-        return self.np.concatenate(self.blocks) if self.blocks else None
+        return np.concatenate(self.blocks) if self.blocks else None
 
 
 def _decode_rows(block, scale: int, integral: bool) -> List[tuple]:
@@ -106,7 +103,7 @@ def _reduce(block, consumption: int):
     return block.reshape(-1, consumption, block.shape[1]).max(axis=1)
 
 
-def _chain(np, ext, fifo: _Fifo, count: int, time: float, size: int):
+def _chain(ext, fifo: _Fifo, count: int, time: float, size: int):
     """Start stamps of ``count`` firings behind one ``p = c = 1``
     self-loop: ``s_i = max(e_i, s_{i−d} + T)`` with the ``d`` tokens the
     loop holds standing in for ``s_{i−d} + T`` when ``i < d``."""
@@ -140,7 +137,6 @@ def block_walk(graph: SDFGraph, runs: Sequence[Tuple[str, int]], size: int,
     docstring), and the exact walk's :class:`ValidationError` for an
     inadmissible or partial schedule.
     """
-    np = require_numpy()
     actors = graph.actor_names
     # ints carry numerator/denominator too, so no Fraction is built here.
     times = graph.execution_times
@@ -156,7 +152,7 @@ def block_walk(graph: SDFGraph, runs: Sequence[Tuple[str, int]], size: int,
         )
     integral = all(isinstance(t, int) for t in times.values())
 
-    fifos = _initial_fifos(np, graph, size)
+    fifos = _initial_fifos(graph, size)
     # Per actor: in-edges as (fifo, consumption, self-loop gain or None,
     # name) in graph order, and out-edges as (fifo, production).
     inputs = {
@@ -198,16 +194,15 @@ def block_walk(graph: SDFGraph, runs: Sequence[Tuple[str, int]], size: int,
         outs = outputs[actor]
         if not loops:
             stamps = ext
-            _produce(np, outs, stamps + time)
+            _produce(outs, stamps + time)
         elif len(loops) == 1 and loops[0][1:] == (1, 0):
             loop = loops[0][0]
-            stamps, held = _chain(np, ext, loop, count, time, size)
+            stamps, held = _chain(ext, loop, count, time, size)
             finish = stamps + time
             loop.push(finish[count - held:])
-            _produce(np, [(f, p) for f, p in outs if f is not loop], finish)
+            _produce([(f, p) for f, p in outs if f is not loop], finish)
         else:
-            stamps = _chunked(np, ext, loops, outs, count, time, size,
-                              deadline)
+            stamps = _chunked(ext, loops, outs, count, time, size, deadline)
         starts.append(stamps)
         fired += count
 
@@ -218,7 +213,7 @@ def block_walk(graph: SDFGraph, runs: Sequence[Tuple[str, int]], size: int,
     return rows, starts, decode
 
 
-def _initial_fifos(np, graph: SDFGraph, size: int) -> Dict[str, _Fifo]:
+def _initial_fifos(graph: SDFGraph, size: int) -> Dict[str, _Fifo]:
     """One FIFO per channel holding its initial tokens' unit stamps: the
     rows of one max-plus identity, in canonical token order."""
     identity = np.full((size, size), -np.inf)
@@ -226,13 +221,13 @@ def _initial_fifos(np, graph: SDFGraph, size: int) -> Dict[str, _Fifo]:
     fifos: Dict[str, _Fifo] = {}
     offset = 0
     for edge in graph.edges:
-        fifos[edge.name] = fifo = _Fifo(np)
+        fifos[edge.name] = fifo = _Fifo()
         fifo.push(identity[offset:offset + edge.tokens])
         offset += edge.tokens
     return fifos
 
 
-def _chunked(np, ext, loops, outs, count: int, time: float, size: int,
+def _chunked(ext, loops, outs, count: int, time: float, size: int,
              deadline=None):
     """Start stamps of ``count`` firings behind general self-loops, in
     chunks no larger than the tokens each loop holds at the chunk start
@@ -249,13 +244,13 @@ def _chunked(np, ext, loops, outs, count: int, time: float, size: int,
         for fifo, consumption, _ in loops:
             block = _reduce(fifo.pop(step * consumption), consumption)
             stamps = block if stamps is None else np.maximum(stamps, block)
-        _produce(np, outs, stamps + time)
+        _produce(outs, stamps + time)
         chunks.append(stamps)
         done += step
     return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
-def _produce(np, outs, finish) -> None:
+def _produce(outs, finish) -> None:
     for fifo, production in outs:
         fifo.push(finish if production == 1
                   else np.repeat(finish, production, axis=0))

@@ -38,7 +38,10 @@ Dependency-free validators (no jsonschema in this environment) for:
 
 Each ``validate_*`` function raises :class:`SchemaError` with a precise
 location on the first violation and returns a small summary dict on
-success.  CI runs these over the artefacts of the batch smoke via
+success: field tables (one kind per field) say the shape, and code only
+the invariants a table cannot.  Each tag is imported from the module
+that writes it; :data:`VALIDATORS` maps JSON document tags to their
+validators.  CI runs these over the artefacts of the batch smoke via
 ``repro obs check`` (``python -m repro.obs.check`` is kept as an
 alias)::
 
@@ -54,10 +57,20 @@ import json
 import pathlib
 import re
 import sys
-from typing import Any, Dict, List, Union
+from fractions import Fraction
+from typing import Any, Callable, Dict, Iterator, List, Tuple, Union
+
+from repro.analysis.store import STORE_SCHEMA, STORE_STATS_SCHEMA, VerifyReport
+from repro.obs.analyze import TRACE_SUMMARY_SCHEMA
+from repro.obs.diff import TRACE_DIFF_SCHEMA
+from repro.obs.metrics import SCHEMA as METRICS_SCHEMA
+from repro.obs.provenance import PROVENANCE_SCHEMA
+from repro.obs.provenance import WITNESS_SPACES as _WITNESS_SPACES
+from repro.obs.regress import REGRESS_SCHEMA
 
 __all__ = [
     "SchemaError",
+    "VALIDATORS",
     "validate_bench",
     "validate_chrome_trace",
     "validate_collapsed",
@@ -75,19 +88,10 @@ __all__ = [
     "validate_trace_summary",
 ]
 
+#: The one tag owned here: its writer, ``benchmarks/bench_common.py``,
+#: lives outside the package and imports it from this module.
 BENCH_SCHEMA = "repro-bench-v1"
-#: Kept in sync with repro.obs.provenance.PROVENANCE_SCHEMA (tested).
-PROVENANCE_SCHEMA = "repro-provenance-v1"
-#: Kept in sync with repro.analysis.store.STORE_SCHEMA (tested).
-STORE_SCHEMA = "repro-store-v1"
-STORE_VERIFY_SCHEMA = "repro-store-verify-v1"
-STORE_STATS_SCHEMA = "repro-store-stats-v1"
-#: Kept in sync with repro.obs.analyze.TRACE_SUMMARY_SCHEMA (tested).
-TRACE_SUMMARY_SCHEMA = "repro-trace-summary-v1"
-#: Kept in sync with repro.obs.diff.TRACE_DIFF_SCHEMA (tested).
-TRACE_DIFF_SCHEMA = "repro-trace-diff-v1"
-#: Kept in sync with repro.obs.regress.REGRESS_SCHEMA (tested).
-REGRESS_SCHEMA = "repro-regress-v1"
+STORE_VERIFY_SCHEMA = VerifyReport.SCHEMA
 
 _PROM_NAME = r"[a-zA-Z_:][a-zA-Z0-9_:]*"
 _PROM_SAMPLE = re.compile(
@@ -109,42 +113,134 @@ def _need(condition: bool, where: str, message: str) -> None:
 
 
 # ----------------------------------------------------------------------
+# field kinds and the table reader
+# ----------------------------------------------------------------------
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _kind(test: Callable[[Any], bool], message: str) -> Callable:
+    """A field kind: ``(key, value)`` maps to ``None`` when ``test(value)``
+    holds, else to ``message`` with ``key`` and ``value`` filled in."""
+    return lambda key, value: (
+        None if test(value) else message.format(key=key, value=value))
+
+
+def _is_rational(value: Any) -> bool:
+    try:
+        return isinstance(value, str) and Fraction(value) is not None
+    except (ValueError, ZeroDivisionError):
+        return False
+
+
+STR = _kind(lambda v: isinstance(v, str) and v != "",
+            "needs a non-empty string {key!r}")
+STR_OR_NULL = _kind(lambda v: v is None or isinstance(v, str),
+                    "{key!r} must be a string or null")
+NAT = _kind(lambda v: _is_int(v) and v >= 0,
+            "{key!r} must be a non-negative integer, got {value!r}")
+POS = _kind(lambda v: _is_int(v) and v >= 1,
+            "{key!r} must be a positive integer, got {value!r}")
+NUM = _kind(_is_number, "{key!r} must be a number, got {value!r}")
+NUM_OR_NULL = _kind(lambda v: v is None or _is_number(v),
+                    "{key!r} must be a number or null, got {value!r}")
+NON_NEG = _kind(lambda v: _is_number(v) and v >= 0,
+                "{key!r} must be >= 0, got {value!r}")
+RATIO = _kind(lambda v: _is_number(v) and 0 <= v <= 1,
+              "{key!r} must be in [0, 1], got {value!r}")
+OBJ = _kind(lambda v: isinstance(v, dict), "{key!r} must be an object")
+ARR = _kind(lambda v: isinstance(v, list), "{key!r} must be an array")
+RATIONAL = _kind(_is_rational, "{key!r} {value!r} is not a valid rational: "
+                 "it must be a string-encoded rational")
+RATIONAL_OR_NULL = _kind(lambda v: v is None or _is_rational(v),
+                         "{key!r} {value!r} is not a valid rational: it must "
+                         "be a string-encoded rational or null")
+
+
+def _fields(doc: Any, where: str, table: Dict[str, Any],
+            schema: str = None) -> None:
+    """Check that ``doc`` is an object, tagged ``schema`` when one is
+    given, that spells out every field of ``table`` (null is a value,
+    absence is not) with its kind: one of the kinds above, or a tuple of
+    the allowed values."""
+    _need(isinstance(doc, dict), where, "must be an object")
+    if schema is not None:
+        _need(doc.get("schema") == schema, where,
+              f"schema must be {schema!r}, got {doc.get('schema')!r}")
+    for key, kind in table.items():
+        _need(key in doc, where, f"missing {key!r}")
+        value = doc[key]
+        if isinstance(kind, tuple):
+            _need(value in kind, where,
+                  f"{key} must be one of {kind}, got {value!r}")
+        else:
+            problem = kind(key, value)
+            _need(problem is None, where, problem)
+
+
+def _rows(items: List[Any], where: str,
+          table: Dict[str, Any]) -> List[Tuple[str, Any]]:
+    """Check every element of the array ``items`` against ``table``, and
+    return ``(location, element)`` pairs for the checks a table cannot
+    state."""
+    located = [(f"{where}[{index}]", item) for index, item in enumerate(items)]
+    for at, item in located:
+        _fields(item, at, table)
+    return located
+
+
+def _json_lines(text: str) -> Iterator[Tuple[str, Any]]:
+    """``(location, document)`` for every non-blank line of a JSONL text."""
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if line.strip():
+            try:
+                document = json.loads(line)
+            except json.JSONDecodeError as error:
+                raise SchemaError(
+                    f"line {lineno}: not valid JSON ({error})") from None
+            yield f"line {lineno}", document
+
+
+def _counts_match(doc: Dict[str, Any], where: str, rows: List[Any],
+                  field: str, values: Tuple[str, ...]) -> None:
+    """``doc["counts"]`` holds, per value, how many ``rows`` carry it in
+    ``field``."""
+    at = f"{where}.counts"
+    for value in values:
+        count = doc["counts"].get(value)
+        _need(isinstance(count, int), at,
+              f"missing integer count for {value!r}")
+        _need(count == sum(1 for row in rows if row.get(field) == value), at,
+              f"count for {value!r} does not match the rows")
+
+
+# ----------------------------------------------------------------------
 # traces
 # ----------------------------------------------------------------------
 
-_PHASES = {"X", "i", "M", "B", "E"}
+_EVENT = {"name": STR, "ph": ("X", "i", "M", "B", "E"),
+          "pid": NAT, "tid": NAT}
+#: Timestamps each Chrome event phase must carry.
+_TIMED = {"X": {"ts": NON_NEG, "dur": NON_NEG}, "i": {"ts": NON_NEG}}
 
 
 def validate_chrome_trace(data: Any) -> Dict[str, int]:
     """Validate a Chrome ``trace_event`` object (the JSON Object Format:
     a dict with ``traceEvents``; a bare event array is also accepted)."""
-    if isinstance(data, list):
-        events = data
-    else:
-        _need(isinstance(data, dict), "trace", "must be an object or array")
-        _need("traceEvents" in data, "trace", "missing 'traceEvents'")
+    events = data
+    if not isinstance(data, list):
+        _fields(data, "trace", {"traceEvents": ARR})
         events = data["traceEvents"]
-        _need(isinstance(events, list), "traceEvents", "must be an array")
     counts = {"X": 0, "i": 0, "M": 0}
-    for index, event in enumerate(events):
-        where = f"traceEvents[{index}]"
-        _need(isinstance(event, dict), where, "must be an object")
-        _need(isinstance(event.get("name"), str), where, "needs a string 'name'")
-        phase = event.get("ph")
-        _need(phase in _PHASES, where, f"unknown phase {phase!r}")
-        _need("pid" in event and "tid" in event, where, "needs pid and tid")
-        if phase in ("X", "i"):
-            _need(
-                isinstance(event.get("ts"), (int, float)) and event["ts"] >= 0,
-                where, "needs a non-negative numeric 'ts'",
-            )
-        if phase == "X":
-            _need(
-                isinstance(event.get("dur"), (int, float)) and event["dur"] >= 0,
-                where, "needs a non-negative numeric 'dur'",
-            )
-        if phase in counts:
-            counts[phase] += 1
+    for where, event in _rows(events, "traceEvents", _EVENT):
+        _fields(event, where, _TIMED.get(event["ph"], {}))
+        if event["ph"] in counts:
+            counts[event["ph"]] += 1
     _need(counts["X"] > 0, "trace", "contains no complete ('X') span events")
     return {"events": len(events), **{f"phase_{k}": v for k, v in counts.items()}}
 
@@ -153,17 +249,10 @@ def validate_span_jsonl(text: str) -> Dict[str, int]:
     """Validate a JSONL span export: ids unique, parents resolvable,
     every closed child nested inside its parent's interval."""
     rows: List[Dict[str, Any]] = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as error:
-            raise SchemaError(f"line {lineno}: not valid JSON ({error})") from None
-        where = f"line {lineno}"
-        for key in ("id", "name", "pid", "tid", "start", "args"):
+    for where, row in _json_lines(text):
+        _fields(row, where, {"args": OBJ})
+        for key in ("id", "name", "pid", "tid", "start"):
             _need(key in row, where, f"missing {key!r}")
-        _need(isinstance(row["args"], dict), where, "'args' must be an object")
         rows.append(row)
     by_id = {}
     for row in rows:
@@ -228,65 +317,44 @@ def validate_prometheus_text(text: str) -> Dict[str, int]:
     return {"families": len(typed), "samples": samples}
 
 
+_METRIC = {"name": STR, "type": ("counter", "gauge", "histogram"),
+           "samples": ARR}
+_HISTOGRAM_SAMPLE = {"labels": OBJ, "buckets": OBJ, "count": NUM, "sum": NUM}
+
+
 def validate_metrics_snapshot(data: Any) -> Dict[str, int]:
     """Validate a ``repro-metrics-v1`` JSON snapshot."""
-    from repro.obs.metrics import SCHEMA
-
-    _need(isinstance(data, dict), "snapshot", "must be an object")
-    _need(data.get("schema") == SCHEMA, "snapshot",
-          f"schema must be {SCHEMA!r}, got {data.get('schema')!r}")
-    metrics = data.get("metrics")
-    _need(isinstance(metrics, list), "snapshot", "'metrics' must be an array")
+    _fields(data, "snapshot", {"metrics": ARR}, METRICS_SCHEMA)
     samples = 0
-    for index, entry in enumerate(metrics):
-        where = f"metrics[{index}]"
-        _need(isinstance(entry, dict), where, "must be an object")
-        _need(isinstance(entry.get("name"), str), where, "needs a string name")
-        _need(entry.get("type") in ("counter", "gauge", "histogram"),
-              where, f"unknown type {entry.get('type')!r}")
-        _need(isinstance(entry.get("samples"), list), where,
-              "'samples' must be an array")
-        for sindex, sample in enumerate(entry["samples"]):
-            swhere = f"{where}.samples[{sindex}]"
-            _need(isinstance(sample.get("labels"), dict), swhere,
-                  "needs a labels object")
-            if entry["type"] == "histogram":
-                _need(isinstance(sample.get("buckets"), dict), swhere,
-                      "histogram sample needs buckets")
-                _need("count" in sample and "sum" in sample, swhere,
-                      "histogram sample needs sum and count")
-            else:
-                _need(isinstance(sample.get("value"), (int, float)), swhere,
-                      "needs a numeric value")
+    for where, entry in _rows(data["metrics"], "metrics", _METRIC):
+        histogram = entry["type"] == "histogram"
+        for swhere, sample in _rows(
+                entry["samples"], f"{where}.samples",
+                _HISTOGRAM_SAMPLE if histogram else {"labels": OBJ}):
+            _need(histogram or isinstance(sample.get("value"), (int, float)),
+                  swhere, "needs a numeric value")
             samples += 1
-    return {"families": len(metrics), "samples": samples}
+    return {"families": len(data["metrics"]), "samples": samples}
 
 
 # ----------------------------------------------------------------------
 # provenance certificates
 # ----------------------------------------------------------------------
 
-_PROVENANCE_STATUSES = ("exact", "conservative-bound", "timed-out")
-_WITNESS_SPACES = ("token", "actor", "abstract")
-_TIER_STATUSES = ("ok", "timeout", "cancelled", "error", "skipped")
-
-
-def _need_fraction(value: Any, where: str, what: str,
-                   nullable: bool = False) -> None:
-    """``value`` must parse as an exact rational (or be null)."""
-    if value is None and nullable:
-        return
-    _need(isinstance(value, str), where,
-          f"{what} must be a string-encoded rational"
-          + (" or null" if nullable else "") + f", got {value!r}")
-    from fractions import Fraction
-
-    try:
-        Fraction(value)
-    except (ValueError, ZeroDivisionError):
-        raise SchemaError(
-            f"{where}: {what} {value!r} is not a valid rational"
-        ) from None
+_PROVENANCE = {
+    "graph": STR, "fingerprint": STR, "algorithm": STR, "method": STR,
+    "status": ("exact", "conservative-bound", "timed-out"),
+    "cycle_time": RATIONAL_OR_NULL, "steps": ARR, "tiers": ARR,
+    "witness_unavailable": STR_OR_NULL,
+}
+_STEP = {"kind": STR, "before_fingerprint": STR_OR_NULL,
+         "after_fingerprint": STR_OR_NULL, "before_size": OBJ,
+         "after_size": OBJ}
+_WITNESS = {"space": _WITNESS_SPACES, "source": STR, "arcs": ARR,
+            "groups": OBJ}
+_ARC = {"source": STR, "target": STR, "weight": RATIONAL, "tokens": NAT}
+_TIER = {"tier": STR,
+         "status": ("ok", "timeout", "cancelled", "error", "skipped")}
 
 
 def validate_provenance(data: Any) -> Dict[str, int]:
@@ -298,98 +366,42 @@ def validate_provenance(data: Any) -> Dict[str, int]:
     :func:`repro.obs.provenance.verify_witness`'s job and needs the
     graph.
     """
-    _need(isinstance(data, dict), "provenance", "must be an object")
-    _need(data.get("schema") == PROVENANCE_SCHEMA, "provenance",
-          f"schema must be {PROVENANCE_SCHEMA!r}, got {data.get('schema')!r}")
-    for key in ("graph", "fingerprint", "algorithm", "method"):
-        _need(isinstance(data.get(key), str) and data[key], "provenance",
-              f"needs a non-empty string {key!r}")
-    _need(data.get("status") in _PROVENANCE_STATUSES, "provenance",
-          f"status must be one of {_PROVENANCE_STATUSES}, "
-          f"got {data.get('status')!r}")
-    _need_fraction(data.get("cycle_time"), "provenance", "'cycle_time'",
-                   nullable=True)
-
-    steps = data.get("steps", [])
-    _need(isinstance(steps, list), "provenance", "'steps' must be an array")
-    for index, step in enumerate(steps):
-        where = f"steps[{index}]"
-        _need(isinstance(step, dict), where, "must be an object")
-        _need(isinstance(step.get("kind"), str) and step["kind"], where,
-              "needs a non-empty string 'kind'")
-        for side in ("before", "after"):
-            fp = step.get(f"{side}_fingerprint")
-            _need(fp is None or isinstance(fp, str), where,
-                  f"'{side}_fingerprint' must be a string or null")
-            size = step.get(f"{side}_size", {})
-            _need(isinstance(size, dict), where,
-                  f"'{side}_size' must be an object")
-            for key, value in size.items():
-                _need(isinstance(value, int) and not isinstance(value, bool),
-                      where, f"size {key!r} must be an integer, got {value!r}")
+    _fields(data, "provenance", _PROVENANCE, PROVENANCE_SCHEMA)
+    for where, step in _rows(data["steps"], "steps", _STEP):
+        for key, value in (*step["before_size"].items(),
+                           *step["after_size"].items()):
+            _need(_is_int(value), where,
+                  f"size {key!r} must be an integer, got {value!r}")
 
     witness = data.get("witness")
     arcs = 0
     if witness is not None:
-        _need(isinstance(witness, dict), "witness", "must be an object or null")
-        _need(witness.get("space") in _WITNESS_SPACES, "witness",
-              f"space must be one of {_WITNESS_SPACES}, "
-              f"got {witness.get('space')!r}")
-        _need(isinstance(witness.get("source"), str), "witness",
-              "needs a string 'source'")
-        arc_list = witness.get("arcs")
-        _need(isinstance(arc_list, list) and arc_list, "witness",
-              "'arcs' must be a non-empty array")
-        for index, arc in enumerate(arc_list):
-            where = f"witness.arcs[{index}]"
-            _need(isinstance(arc, dict), where, "must be an object")
-            for key in ("source", "target"):
-                _need(isinstance(arc.get(key), str) and arc[key], where,
-                      f"needs a non-empty string {key!r}")
-            _need_fraction(arc.get("weight"), where, "'weight'")
-            _need(isinstance(arc.get("tokens"), int)
-                  and not isinstance(arc["tokens"], bool)
-                  and arc["tokens"] >= 0, where,
-                  f"'tokens' must be a non-negative integer, "
-                  f"got {arc.get('tokens')!r}")
-        groups = witness.get("groups", {})
-        _need(isinstance(groups, dict), "witness", "'groups' must be an object")
-        for name, members in groups.items():
+        _fields(witness, "witness", _WITNESS)
+        _need(witness["arcs"], "witness", "'arcs' must be a non-empty array")
+        _rows(witness["arcs"], "witness.arcs", _ARC)
+        for name, members in witness["groups"].items():
             _need(isinstance(members, list)
                   and all(isinstance(m, str) for m in members),
                   f"witness.groups[{name!r}]", "must be an array of strings")
-        arcs = len(arc_list)
-    else:
-        _need(data.get("witness_unavailable") is None
-              or isinstance(data["witness_unavailable"], str),
-              "provenance", "'witness_unavailable' must be a string or null")
+        arcs = len(witness["arcs"])
 
-    tiers = data.get("tiers", [])
-    _need(isinstance(tiers, list), "provenance", "'tiers' must be an array")
-    for index, tier in enumerate(tiers):
-        where = f"tiers[{index}]"
-        _need(isinstance(tier, dict), where, "must be an object")
-        _need(isinstance(tier.get("tier"), str) and tier["tier"], where,
-              "needs a non-empty string 'tier'")
-        _need(tier.get("status") in _TIER_STATUSES, where,
-              f"status must be one of {_TIER_STATUSES}, "
-              f"got {tier.get('status')!r}")
-    if data.get("status") == "conservative-bound":
+    _rows(data["tiers"], "tiers", _TIER)
+    if data["status"] == "conservative-bound":
         _need(isinstance(data.get("bound_phase_count"), int), "provenance",
               "conservative-bound records need an integer 'bound_phase_count'")
-        _need_fraction(data.get("bound_abstract_cycle_time"), "provenance",
-                       "'bound_abstract_cycle_time'")
-    kernel = data.get("kernel")
+        _fields(data, "provenance", {"bound_abstract_cycle_time": RATIONAL})
+    kernel = data.get("kernel")  # absent from records before the kernel layer
     _need(kernel is None or (isinstance(kernel, str) and kernel),
           "provenance", "'kernel' must be a non-empty string or null")
-    return {"steps": len(steps), "witness_arcs": arcs, "tiers": len(tiers)}
+    return {"steps": len(data["steps"]), "witness_arcs": arcs,
+            "tiers": len(data["tiers"])}
 
 
 # ----------------------------------------------------------------------
 # SARIF logs (repro lint / repro devlint --format sarif)
 # ----------------------------------------------------------------------
 
-_SARIF_LEVELS = ("none", "note", "warning", "error")
+_SARIF_RESULT = {"ruleId": STR, "level": ("none", "note", "warning", "error")}
 
 
 def validate_sarif(data: Any) -> Dict[str, int]:
@@ -412,39 +424,25 @@ def validate_sarif(data: Any) -> Dict[str, int]:
         driver = run.get("tool", {}).get("driver") \
             if isinstance(run.get("tool"), dict) else None
         _need(isinstance(driver, dict), where, "needs tool.driver")
-        _need(isinstance(driver.get("name"), str) and driver["name"],
-              f"{where}.tool.driver", "needs a non-empty 'name'")
+        _fields(driver, f"{where}.tool.driver", {"name": STR})
         rules = driver.get("rules", [])
         _need(isinstance(rules, list), f"{where}.tool.driver",
               "'rules' must be an array")
         rule_ids = set()
-        for index, rule in enumerate(rules):
-            rwhere = f"{where}.tool.driver.rules[{index}]"
-            _need(isinstance(rule, dict), rwhere, "must be an object")
-            _need(isinstance(rule.get("id"), str) and rule["id"], rwhere,
-                  "needs a non-empty string 'id'")
+        for rwhere, rule in _rows(rules, f"{where}.tool.driver.rules",
+                                  {"id": STR}):
             _need(rule["id"] not in rule_ids, rwhere,
                   f"duplicate rule id {rule['id']!r}")
             rule_ids.add(rule["id"])
         total_rules += len(rule_ids)
         results = run.get("results", [])
         _need(isinstance(results, list), where, "'results' must be an array")
-        for index, result in enumerate(results):
-            rwhere = f"{where}.results[{index}]"
-            _need(isinstance(result, dict), rwhere, "must be an object")
-            _need(isinstance(result.get("ruleId"), str) and result["ruleId"],
-                  rwhere, "needs a non-empty string 'ruleId'")
+        for rwhere, result in _rows(results, f"{where}.results",
+                                    _SARIF_RESULT):
             if rule_ids:
                 _need(result["ruleId"] in rule_ids, rwhere,
                       f"ruleId {result['ruleId']!r} not in the driver's rules")
-            _need(result.get("level") in _SARIF_LEVELS, rwhere,
-                  f"level must be one of {_SARIF_LEVELS}, "
-                  f"got {result.get('level')!r}")
-            message = result.get("message")
-            _need(isinstance(message, dict)
-                  and isinstance(message.get("text"), str)
-                  and message["text"], rwhere,
-                  "needs a message object with non-empty 'text'")
+            _fields(result.get("message"), f"{rwhere}.message", {"text": STR})
             ri = result.get("ruleIndex")
             if ri is not None:
                 _need(isinstance(ri, int) and 0 <= ri < len(rules), rwhere,
@@ -466,10 +464,8 @@ def validate_sarif(data: Any) -> Dict[str, int]:
                           and isinstance(artifact.get("uri"), str)
                           and artifact["uri"], lwhere,
                           "physicalLocation needs artifactLocation.uri")
-                    region = physical.get("region", {})
-                    _need(isinstance(region, dict), lwhere,
-                          "'region' must be an object")
-                    start = region.get("startLine")
+                    _fields(physical, lwhere, {"region": OBJ})
+                    start = physical["region"].get("startLine")
                     _need(isinstance(start, int) and start >= 1, lwhere,
                           f"region.startLine must be a positive integer, "
                           f"got {start!r}")
@@ -489,6 +485,10 @@ def validate_sarif(data: Any) -> Dict[str, int]:
 # durable result store (repro.analysis.store)
 # ----------------------------------------------------------------------
 
+_RECORD_HEADER = {"fingerprint": STR, "analysis": STR, "params": STR,
+                  "payload_len": NAT, "checksum": STR}
+
+
 def validate_store_record(raw: bytes,
                           expected_digest: str = None) -> Dict[str, int]:
     """Validate one binary ``repro-store-v1`` record file.
@@ -496,9 +496,10 @@ def validate_store_record(raw: bytes,
     Deliberately re-implements the store's verification (magic line,
     JSON header with a complete key echo, payload length, SHA-256
     checksum, content-address consistency) so CI checks records with
-    code that shares nothing with the writer.  ``expected_digest`` is
-    the record's file stem; when given, the header's key must hash to
-    it (a renamed record is a schema violation).
+    code that shares nothing with the writer but the schema tag.
+    ``expected_digest`` is the record's file stem; when given, the
+    header's key must hash to it (a renamed record is a schema
+    violation).
     """
     import hashlib
 
@@ -512,10 +513,7 @@ def validate_store_record(raw: bytes,
         header = json.loads(rest[:newline])
     except (json.JSONDecodeError, UnicodeDecodeError):
         raise SchemaError("record: header is not valid JSON") from None
-    _need(isinstance(header, dict), "record.header", "must be an object")
-    for key in ("fingerprint", "analysis", "params"):
-        _need(isinstance(header.get(key), str) and header[key],
-              "record.header", f"needs a non-empty string {key!r}")
+    _fields(header, "record.header", _RECORD_HEADER)
     try:
         params = json.loads(header["params"])
     except json.JSONDecodeError:
@@ -524,13 +522,10 @@ def validate_store_record(raw: bytes,
         ) from None
     _need(isinstance(params, dict), "record.header",
           "'params' must encode an object")
-    length = header.get("payload_len")
-    _need(isinstance(length, int) and not isinstance(length, bool)
-          and length >= 0, "record.header",
-          f"'payload_len' must be a non-negative integer, got {length!r}")
-    checksum = header.get("checksum")
-    _need(isinstance(checksum, str) and len(checksum) == 64,
-          "record.header", "'checksum' must be a 64-char SHA-256 hex digest")
+    length = header["payload_len"]
+    checksum = header["checksum"]
+    _need(len(checksum) == 64, "record.header",
+          "'checksum' must be a 64-char SHA-256 hex digest")
     payload = rest[newline + 1:]
     _need(len(payload) == length, "record",
           f"payload is {len(payload)} bytes, header claims {length} (torn write)")
@@ -547,30 +542,30 @@ def validate_store_record(raw: bytes,
     return {"payload_bytes": length, "header_keys": len(header)}
 
 
+_STORE_VERIFY = {
+    "root": STR,
+    **dict.fromkeys(("records", "valid", "quarantined_now",
+                     "quarantined_records", "undetected_corrupt",
+                     "tmp_files", "bytes"), NAT),
+    "corrupt": ARR,
+}
+_STORE_STATS = {
+    "root": STR,
+    **dict.fromkeys(("hits", "misses", "puts", "put_skips", "put_errors",
+                     "quarantined", "evictions", "read_errors", "records",
+                     "bytes", "quarantined_records", "tmp_files",
+                     "max_bytes"), NAT),
+    "hit_rate": RATIO,
+}
+
+
 def validate_store_verify(data: Any) -> Dict[str, int]:
     """Validate a ``repro-store-verify-v1`` report (``repro cache verify
     --json``), including its internal arithmetic: ``undetected_corrupt``
     must equal ``len(corrupt) - quarantined_now``."""
-    _need(isinstance(data, dict), "store-verify", "must be an object")
-    _need(data.get("schema") == STORE_VERIFY_SCHEMA, "store-verify",
-          f"schema must be {STORE_VERIFY_SCHEMA!r}, got {data.get('schema')!r}")
-    _need(isinstance(data.get("root"), str) and data["root"], "store-verify",
-          "needs a non-empty string 'root'")
-    for key in ("records", "valid", "quarantined_now", "quarantined_records",
-                "undetected_corrupt", "tmp_files", "bytes"):
-        value = data.get(key)
-        _need(isinstance(value, int) and not isinstance(value, bool)
-              and value >= 0, "store-verify",
-              f"{key!r} must be a non-negative integer, got {value!r}")
-    corrupt = data.get("corrupt")
-    _need(isinstance(corrupt, list), "store-verify",
-          "'corrupt' must be an array")
-    for index, entry in enumerate(corrupt):
-        where = f"store-verify.corrupt[{index}]"
-        _need(isinstance(entry, dict), where, "must be an object")
-        for key in ("path", "reason"):
-            _need(isinstance(entry.get(key), str) and entry[key], where,
-                  f"needs a non-empty string {key!r}")
+    _fields(data, "store-verify", _STORE_VERIFY, STORE_VERIFY_SCHEMA)
+    corrupt = data["corrupt"]
+    _rows(corrupt, "store-verify.corrupt", {"path": STR, "reason": STR})
     _need(data["valid"] + len(corrupt) == data["records"], "store-verify",
           f"valid ({data['valid']}) + corrupt ({len(corrupt)}) must equal "
           f"records ({data['records']})")
@@ -584,22 +579,7 @@ def validate_store_verify(data: Any) -> Dict[str, int]:
 def validate_store_stats(data: Any) -> Dict[str, int]:
     """Validate a ``repro-store-stats-v1`` census (``repro cache stats
     --json``)."""
-    _need(isinstance(data, dict), "store-stats", "must be an object")
-    _need(data.get("schema") == STORE_STATS_SCHEMA, "store-stats",
-          f"schema must be {STORE_STATS_SCHEMA!r}, got {data.get('schema')!r}")
-    _need(isinstance(data.get("root"), str) and data["root"], "store-stats",
-          "needs a non-empty string 'root'")
-    for key in ("hits", "misses", "puts", "put_skips", "put_errors",
-                "quarantined", "evictions", "read_errors", "records",
-                "bytes", "quarantined_records", "tmp_files", "max_bytes"):
-        value = data.get(key)
-        _need(isinstance(value, int) and not isinstance(value, bool)
-              and value >= 0, "store-stats",
-              f"{key!r} must be a non-negative integer, got {value!r}")
-    rate = data.get("hit_rate")
-    _need(isinstance(rate, (int, float)) and not isinstance(rate, bool)
-          and 0.0 <= rate <= 1.0, "store-stats",
-          f"'hit_rate' must be in [0, 1], got {rate!r}")
+    _fields(data, "store-stats", _STORE_STATS, STORE_STATS_SCHEMA)
     return {"records": data["records"], "bytes": data["bytes"]}
 
 
@@ -607,46 +587,26 @@ def validate_store_stats(data: Any) -> Dict[str, int]:
 # benchmark baselines
 # ----------------------------------------------------------------------
 
+_BENCH_HOST = dict.fromkeys(("platform", "python", "git_sha"), STR_OR_NULL)
+_BENCH_ENTRY = {"name": STR, "unit": STR, "value": NUM,
+                "baseline": NUM_OR_NULL, "meta": OBJ}
+
+
 def validate_bench(data: Any) -> Dict[str, int]:
     """Validate a ``repro-bench-v1`` baseline: a ``suite`` name plus a
     flat list of ``{name, unit, value, baseline, meta}`` entries."""
-    _need(isinstance(data, dict), "bench", "must be an object")
-    _need(data.get("schema") == BENCH_SCHEMA, "bench",
-          f"schema must be {BENCH_SCHEMA!r}, got {data.get('schema')!r}")
-    _need(isinstance(data.get("suite"), str) and data["suite"], "bench",
-          "needs a non-empty 'suite' string")
+    _fields(data, "bench", {"suite": STR}, BENCH_SCHEMA)
     host = data.get("host")
     if host is not None:
-        _need(isinstance(host, dict), "bench", "'host' must be an object")
-        for key in ("platform", "python", "git_sha"):
-            _need(key in host, "bench.host", f"missing {key!r}")
-            _need(host[key] is None or isinstance(host[key], str),
-                  "bench.host", f"{key!r} must be a string or null")
+        _fields(host, "bench.host", _BENCH_HOST)
     entries = data.get("entries")
     _need(isinstance(entries, list) and entries, "bench",
           "'entries' must be a non-empty array")
     names = set()
-    for index, entry in enumerate(entries):
-        where = f"entries[{index}]"
-        _need(isinstance(entry, dict), where, "must be an object")
-        missing = [k for k in ("name", "unit", "value", "baseline", "meta")
-                   if k not in entry]
-        _need(not missing, where, f"missing keys {missing}")
-        _need(isinstance(entry["name"], str) and entry["name"], where,
-              "'name' must be a non-empty string")
+    for where, entry in _rows(entries, "entries", _BENCH_ENTRY):
         _need(entry["name"] not in names, where,
               f"duplicate entry name {entry['name']!r}")
         names.add(entry["name"])
-        _need(isinstance(entry["unit"], str) and entry["unit"], where,
-              "'unit' must be a non-empty string")
-        _need(isinstance(entry["value"], (int, float))
-              and not isinstance(entry["value"], bool), where,
-              "'value' must be a number")
-        _need(entry["baseline"] is None
-              or (isinstance(entry["baseline"], (int, float))
-                  and not isinstance(entry["baseline"], bool)), where,
-              "'baseline' must be a number or null")
-        _need(isinstance(entry["meta"], dict), where, "'meta' must be an object")
     return {"entries": len(entries)}
 
 
@@ -666,14 +626,7 @@ def validate_history(text: str) -> Dict[str, int]:
     runs = 0
     seen_shas: Dict[str, set] = {}
     current_sha: Dict[str, Any] = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
-        where = f"line {lineno}"
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as error:
-            raise SchemaError(f"{where}: not valid JSON ({error})") from None
+    for where, doc in _json_lines(text):
         try:
             validate_bench(doc)
         except SchemaError as error:
@@ -702,13 +655,19 @@ def validate_history(text: str) -> Dict[str, int]:
 # trace analytics (repro obs analyze / flame / diff / regress)
 # ----------------------------------------------------------------------
 
-def _need_number(value: Any, where: str, what: str,
-                 minimum: float = None) -> None:
-    _need(isinstance(value, (int, float)) and not isinstance(value, bool),
-          where, f"{what} must be a number, got {value!r}")
-    if minimum is not None:
-        _need(value >= minimum, where,
-              f"{what} must be >= {minimum}, got {value!r}")
+_SUMMARY = {
+    **dict.fromkeys(("spans", "roots", "processes"), NAT),
+    "wall_seconds": NON_NEG, "stages": ARR, "lanes": ARR,
+    "critical_path": ARR,
+}
+_STAGE = {
+    "stage": STR, "graph": STR_OR_NULL, "kernel": STR_OR_NULL, "count": POS,
+    **dict.fromkeys(("total_seconds", "self_seconds", "p50_seconds",
+                     "p90_seconds", "p99_seconds", "max_seconds",
+                     "cpu_seconds", "mem_peak_bytes"), NON_NEG),
+}
+_LANE = {"pid": NAT, "spans": POS, "self_seconds": NON_NEG}
+_HOP = {"name": STR, "duration_seconds": NON_NEG, "self_seconds": NON_NEG}
 
 
 def validate_trace_summary(data: Any) -> Dict[str, int]:
@@ -720,39 +679,13 @@ def validate_trace_summary(data: Any) -> Dict[str, int]:
     and the critical path is a root-to-leaf chain — depths consecutive
     from 0 and each hop no longer than its parent.
     """
-    _need(isinstance(data, dict), "trace-summary", "must be an object")
-    _need(data.get("schema") == TRACE_SUMMARY_SCHEMA, "trace-summary",
-          f"schema must be {TRACE_SUMMARY_SCHEMA!r}, got {data.get('schema')!r}")
+    _fields(data, "trace-summary", _SUMMARY, TRACE_SUMMARY_SCHEMA)
     sources = data.get("sources")
     _need(isinstance(sources, list) and sources
           and all(isinstance(s, str) for s in sources),
           "trace-summary", "'sources' must be a non-empty array of strings")
-    for key in ("spans", "roots", "processes"):
-        value = data.get(key)
-        _need(isinstance(value, int) and not isinstance(value, bool)
-              and value >= 0, "trace-summary",
-              f"{key!r} must be a non-negative integer, got {value!r}")
-    _need_number(data.get("wall_seconds"), "trace-summary",
-                 "'wall_seconds'", minimum=0.0)
-
-    stages = data.get("stages")
-    _need(isinstance(stages, list), "trace-summary",
-          "'stages' must be an array")
     self_sum = 0.0
-    for index, row in enumerate(stages):
-        where = f"trace-summary.stages[{index}]"
-        _need(isinstance(row, dict), where, "must be an object")
-        _need(isinstance(row.get("stage"), str) and row["stage"], where,
-              "needs a non-empty string 'stage'")
-        for key in ("graph", "kernel"):
-            _need(row.get(key) is None or isinstance(row[key], str), where,
-                  f"{key!r} must be a string or null")
-        _need(isinstance(row.get("count"), int) and row["count"] >= 1,
-              where, f"'count' must be a positive integer, got {row.get('count')!r}")
-        for key in ("total_seconds", "self_seconds", "p50_seconds",
-                    "p90_seconds", "p99_seconds", "max_seconds",
-                    "cpu_seconds", "mem_peak_bytes"):
-            _need_number(row.get(key), where, repr(key), minimum=0.0)
+    for where, row in _rows(data["stages"], "trace-summary.stages", _STAGE):
         _need(row["self_seconds"] <= row["total_seconds"] + 1e-9, where,
               "self time cannot exceed total time")
         _need(row["p50_seconds"] <= row["p90_seconds"] + 1e-9
@@ -765,144 +698,80 @@ def validate_trace_summary(data: Any) -> Dict[str, int]:
           f"durations {data['wall_seconds']!r}: self times must "
           "partition the span forest")
 
-    lanes = data.get("lanes", [])
-    _need(isinstance(lanes, list), "trace-summary", "'lanes' must be an array")
-    for index, lane in enumerate(lanes):
-        where = f"trace-summary.lanes[{index}]"
-        _need(isinstance(lane, dict), where, "must be an object")
-        _need(isinstance(lane.get("pid"), int), where,
-              "needs an integer 'pid'")
-        _need(isinstance(lane.get("spans"), int) and lane["spans"] >= 1,
-              where, "'spans' must be a positive integer")
-        _need_number(lane.get("self_seconds"), where,
-                     "'self_seconds'", minimum=0.0)
+    _rows(data["lanes"], "trace-summary.lanes", _LANE)
 
-    path = data.get("critical_path")
-    _need(isinstance(path, list), "trace-summary",
-          "'critical_path' must be an array")
     previous = None
-    for index, hop in enumerate(path):
-        where = f"trace-summary.critical_path[{index}]"
-        _need(isinstance(hop, dict), where, "must be an object")
-        _need(isinstance(hop.get("name"), str) and hop["name"], where,
-              "needs a non-empty string 'name'")
+    for index, (where, hop) in enumerate(
+            _rows(data["critical_path"], "trace-summary.critical_path", _HOP)):
         _need(hop.get("depth") == index, where,
               f"depths must be consecutive from 0, got {hop.get('depth')!r}")
-        _need_number(hop.get("duration_seconds"), where,
-                     "'duration_seconds'", minimum=0.0)
-        _need_number(hop.get("self_seconds"), where,
-                     "'self_seconds'", minimum=0.0)
         if previous is not None:
             _need(hop["duration_seconds"] <= previous + 1e-9, where,
                   "a child hop cannot outlast its parent")
         previous = hop["duration_seconds"]
-    return {"stages": len(stages), "spans": data["spans"],
-            "critical_path": len(path)}
+    return {"stages": len(data["stages"]), "spans": data["spans"],
+            "critical_path": len(data["critical_path"])}
 
 
 _DIFF_DIRECTIONS = ("regressed", "improved", "unchanged", "added", "removed")
+_DIFF = {"kind": ("trace-summary", "metrics"), "a": STR, "b": STR,
+         "noise_floor": NON_NEG, "rows": ARR, "counts": OBJ}
+_DIFF_ROW = {"key": STR, "direction": _DIFF_DIRECTIONS}
 
 
 def validate_trace_diff(data: Any) -> Dict[str, int]:
     """Validate a ``repro-trace-diff-v1`` A/B diff document."""
-    _need(isinstance(data, dict), "trace-diff", "must be an object")
-    _need(data.get("schema") == TRACE_DIFF_SCHEMA, "trace-diff",
-          f"schema must be {TRACE_DIFF_SCHEMA!r}, got {data.get('schema')!r}")
-    _need(data.get("kind") in ("trace-summary", "metrics"), "trace-diff",
-          f"kind must be 'trace-summary' or 'metrics', got {data.get('kind')!r}")
-    for key in ("a", "b"):
-        _need(isinstance(data.get(key), str) and data[key], "trace-diff",
-              f"needs a non-empty string {key!r} label")
-    _need_number(data.get("noise_floor"), "trace-diff",
-                 "'noise_floor'", minimum=0.0)
-    rows = data.get("rows")
-    _need(isinstance(rows, list), "trace-diff", "'rows' must be an array")
-    for index, row in enumerate(rows):
-        where = f"trace-diff.rows[{index}]"
-        _need(isinstance(row, dict), where, "must be an object")
-        _need(isinstance(row.get("key"), str) and row["key"], where,
-              "needs a non-empty string 'key'")
-        direction = row.get("direction")
-        _need(direction in _DIFF_DIRECTIONS, where,
-              f"direction must be one of {_DIFF_DIRECTIONS}, got {direction!r}")
+    _fields(data, "trace-diff", _DIFF, TRACE_DIFF_SCHEMA)
+    rows = data["rows"]
+    for where, row in _rows(rows, "trace-diff.rows", _DIFF_ROW):
+        direction = row["direction"]
         _need(direction != "added" or row.get("a") is None, where,
               "an 'added' row cannot have an 'a' value")
         _need(direction != "removed" or row.get("b") is None, where,
               "a 'removed' row cannot have a 'b' value")
         if direction not in ("added", "removed"):
-            for key in ("a", "b", "delta"):
-                _need_number(row.get(key), where, repr(key))
+            _fields(row, where, dict.fromkeys(("a", "b", "delta"), NUM))
         if row.get("noise_floored"):
             _need(row.get("relative") == 0.0, where,
                   "a noise-floored row must publish relative == 0")
-            _need_number(row.get("measured_relative"), where,
-                         "'measured_relative'")
-    counts = data.get("counts")
-    _need(isinstance(counts, dict), "trace-diff", "'counts' must be an object")
-    for direction in _DIFF_DIRECTIONS:
-        _need(isinstance(counts.get(direction), int), "trace-diff.counts",
-              f"missing integer count for {direction!r}")
-        _need(counts[direction]
-              == sum(1 for r in rows if r.get("direction") == direction),
-              "trace-diff.counts",
-              f"count for {direction!r} does not match the rows")
-    return {"rows": len(rows), "regressed": counts["regressed"]}
+            _fields(row, where, {"measured_relative": NUM})
+    _counts_match(data, "trace-diff", rows, "direction", _DIFF_DIRECTIONS)
+    return {"rows": len(rows), "regressed": data["counts"]["regressed"]}
 
 
 _REGRESS_VERDICTS = ("ok", "regressed", "improved", "noisy",
                      "insufficient-data")
+_REGRESS = {"history": STR, "params": OBJ, "results": ARR, "counts": OBJ}
+_REGRESS_PARAMS = {
+    "window": POS, "min_samples": POS,
+    **dict.fromkeys(("threshold", "noise_rel", "mad_mult"), NON_NEG),
+}
+_REGRESS_RESULT = {
+    "suite": STR, "entry": STR, "unit": STR, "value": NUM,
+    "verdict": _REGRESS_VERDICTS,
+    "direction": ("higher-is-better", "lower-is-better"),
+    "samples": NAT,
+}
 
 
 def validate_regress(data: Any) -> Dict[str, int]:
     """Validate a ``repro-regress-v1`` sentinel verdict document,
     including its internal consistency: counts match the results, and
     ``regressed`` lists exactly the regressed ``suite/entry`` pairs."""
-    _need(isinstance(data, dict), "regress", "must be an object")
-    _need(data.get("schema") == REGRESS_SCHEMA, "regress",
-          f"schema must be {REGRESS_SCHEMA!r}, got {data.get('schema')!r}")
-    _need(isinstance(data.get("history"), str) and data["history"], "regress",
-          "needs a non-empty string 'history'")
-    params = data.get("params")
-    _need(isinstance(params, dict), "regress", "'params' must be an object")
-    for key in ("window", "min_samples"):
-        _need(isinstance(params.get(key), int) and params[key] >= 1,
-              "regress.params", f"{key!r} must be a positive integer")
-    for key in ("threshold", "noise_rel", "mad_mult"):
-        _need_number(params.get(key), "regress.params", repr(key), minimum=0.0)
-    results = data.get("results")
-    _need(isinstance(results, list), "regress", "'results' must be an array")
+    _fields(data, "regress", _REGRESS, REGRESS_SCHEMA)
+    _fields(data["params"], "regress.params", _REGRESS_PARAMS)
+    results = data["results"]
     regressed = []
-    for index, result in enumerate(results):
-        where = f"regress.results[{index}]"
-        _need(isinstance(result, dict), where, "must be an object")
-        for key in ("suite", "entry", "unit"):
-            _need(isinstance(result.get(key), str) and result[key], where,
-                  f"needs a non-empty string {key!r}")
-        _need_number(result.get("value"), where, "'value'")
-        verdict = result.get("verdict")
-        _need(verdict in _REGRESS_VERDICTS, where,
-              f"verdict must be one of {_REGRESS_VERDICTS}, got {verdict!r}")
+    for where, result in _rows(results, "regress.results", _REGRESS_RESULT):
+        verdict = result["verdict"]
         _need(verdict == "ok" or isinstance(result.get("reason"), str),
               where, f"a {verdict!r} verdict needs a string 'reason'")
-        _need(result.get("direction") in ("higher-is-better",
-                                          "lower-is-better"), where,
-              f"bad direction {result.get('direction')!r}")
-        _need(isinstance(result.get("samples"), int)
-              and result["samples"] >= 0, where,
-              "'samples' must be a non-negative integer")
         if verdict == "regressed":
             regressed.append(f"{result['suite']}/{result['entry']}")
     _need(data.get("entries") == len(results), "regress",
           f"'entries' ({data.get('entries')!r}) must equal the number of "
           f"results ({len(results)})")
-    counts = data.get("counts")
-    _need(isinstance(counts, dict), "regress", "'counts' must be an object")
-    for verdict in _REGRESS_VERDICTS:
-        _need(isinstance(counts.get(verdict), int), "regress.counts",
-              f"missing integer count for {verdict!r}")
-        _need(counts[verdict]
-              == sum(1 for r in results if r.get("verdict") == verdict),
-              "regress.counts", f"count for {verdict!r} does not match results")
+    _counts_match(data, "regress", results, "verdict", _REGRESS_VERDICTS)
     _need(sorted(data.get("regressed", [])) == sorted(regressed), "regress",
           "'regressed' must list exactly the regressed suite/entry pairs")
     return {"entries": len(results), "regressed": len(regressed)}
@@ -942,6 +811,21 @@ def validate_collapsed(text: str) -> Dict[str, int]:
 # CLI driver (used by CI to gate the emitted artefacts)
 # ----------------------------------------------------------------------
 
+#: The validator of every JSON document kind, by its ``schema`` tag.
+#: ``repro-store-v1`` records are binary and dispatched by their
+#: ``.rec`` suffix instead.
+VALIDATORS: Dict[str, Callable[[Any], Dict[str, int]]] = {
+    BENCH_SCHEMA: validate_bench,
+    METRICS_SCHEMA: validate_metrics_snapshot,
+    PROVENANCE_SCHEMA: validate_provenance,
+    REGRESS_SCHEMA: validate_regress,
+    STORE_STATS_SCHEMA: validate_store_stats,
+    STORE_VERIFY_SCHEMA: validate_store_verify,
+    TRACE_DIFF_SCHEMA: validate_trace_diff,
+    TRACE_SUMMARY_SCHEMA: validate_trace_summary,
+}
+
+
 def check_file(path: Union[str, pathlib.Path]) -> Dict[str, int]:
     """Validate one artefact, inferring its kind from name/content."""
     path = str(path)
@@ -962,11 +846,7 @@ def check_file(path: Union[str, pathlib.Path]) -> Dict[str, int]:
     if name.endswith((".folded", ".collapsed")):
         return validate_collapsed(text)
     if name.endswith(".jsonl"):
-        head = next((line for line in text.splitlines() if line.strip()), "")
-        try:
-            first = json.loads(head)
-        except json.JSONDecodeError:
-            first = None
+        first = next(_json_lines(text), (None, None))[1]
         if isinstance(first, dict) and first.get("schema") == BENCH_SCHEMA:
             # A bench history: one repro-bench-v1 document per line,
             # plus the journal-level hygiene rules (host stamps,
@@ -980,20 +860,9 @@ def check_file(path: Union[str, pathlib.Path]) -> Dict[str, int]:
     if isinstance(data, dict):
         if data.get("version") == "2.1.0" and "runs" in data:
             return validate_sarif(data)
-        if data.get("schema") == BENCH_SCHEMA:
-            return validate_bench(data)
-        if data.get("schema") == PROVENANCE_SCHEMA:
-            return validate_provenance(data)
-        if data.get("schema") == STORE_VERIFY_SCHEMA:
-            return validate_store_verify(data)
-        if data.get("schema") == STORE_STATS_SCHEMA:
-            return validate_store_stats(data)
-        if data.get("schema") == TRACE_SUMMARY_SCHEMA:
-            return validate_trace_summary(data)
-        if data.get("schema") == TRACE_DIFF_SCHEMA:
-            return validate_trace_diff(data)
-        if data.get("schema") == REGRESS_SCHEMA:
-            return validate_regress(data)
+        schema = data.get("schema")
+        if isinstance(schema, str) and schema in VALIDATORS:
+            return VALIDATORS[schema](data)
         if "metrics" in data and "schema" in data:
             return validate_metrics_snapshot(data)
         if "traceEvents" in data:

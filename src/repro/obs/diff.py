@@ -33,6 +33,8 @@ import json
 import pathlib
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.obs.analyze import TRACE_SUMMARY_SCHEMA
+from repro.obs.metrics import SCHEMA as METRICS_SCHEMA
 from repro.obs.report import html_page, html_table
 
 __all__ = [
@@ -73,13 +75,13 @@ def apply_noise_floor(value: float, floor: float = 0.0) -> Tuple[float, bool]:
 
 def _kind_of(doc: Dict[str, Any]) -> str:
     schema = doc.get("schema")
-    if schema == "repro-trace-summary-v1":
+    if schema == TRACE_SUMMARY_SCHEMA:
         return "trace-summary"
-    if schema == "repro-metrics-v1":
+    if schema == METRICS_SCHEMA:
         return "metrics"
     raise ValueError(
-        f"cannot diff a {schema!r} document: expected repro-trace-summary-v1 "
-        "or repro-metrics-v1"
+        f"cannot diff a {schema!r} document: expected {TRACE_SUMMARY_SCHEMA} "
+        f"or {METRICS_SCHEMA}"
     )
 
 

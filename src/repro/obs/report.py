@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ValidationError
 from repro.obs.provenance import (
+    PROVENANCE_SCHEMA,
     CycleWitness,
     ProvenanceRecord,
     WitnessError,
@@ -352,7 +353,7 @@ def render_html(
                 ("fingerprint", record.fingerprint),
                 ("status", _status_line(record)),
                 ("cycle time", _fmt(record.cycle_time)),
-                ("schema", "repro-provenance-v1"),
+                ("schema", PROVENANCE_SCHEMA),
             ],
         ),
         f"<p>Witness check: {badge}</p>",

@@ -424,7 +424,8 @@ class SDFGraph:
     # ------------------------------------------------------------------
 
     def copy(self, name: Optional[str] = None) -> "SDFGraph":
-        return SDFGraph.from_tuples(name or self.name, *self._tuples())
+        return SDFGraph.from_tuples(
+            name or self.name, *self._tuples(), self._edge_counter)
 
     def _tuples(self):
         """The actor and edge tuples :meth:`from_tuples` takes."""

@@ -773,70 +773,3 @@ class TestScopeOptions:
         assert finding.severity == "error"
         assert not report.ok
 
-
-# ---------------------------------------------------------------------------
-# schema-validator-sync
-# ---------------------------------------------------------------------------
-
-
-class TestSchemaValidatorSync:
-    OBS = "src/repro/obs/fixture.py"
-
-    def test_unvalidatable_schema_fires(self):
-        report = run(
-            """
-            MY_SCHEMA = "repro-nonexistent-v1"
-            """,
-            path=self.OBS,
-        )
-        (finding,) = only(report, "schema-validator-sync")
-        assert "repro-nonexistent-v1" in finding.message
-        assert finding.severity == "error"
-
-    def test_literal_repeated_in_check_py_passes(self):
-        # check.py repeats this tag as its own "kept in sync" constant.
-        report = run(
-            """
-            TRACE_SUMMARY_SCHEMA = "repro-trace-summary-v1"
-            """,
-            path=self.OBS,
-        )
-        assert "schema-validator-sync" not in codes(report)
-
-    def test_constant_imported_by_name_passes(self):
-        # check.py imports `SCHEMA` from repro.obs.metrics by name.
-        report = run(
-            """
-            SCHEMA = "repro-fresh-tag-v9"
-            """,
-            path=self.OBS,
-        )
-        assert "schema-validator-sync" not in codes(report)
-
-    def test_non_schema_constants_ignored(self):
-        report = run(
-            """
-            BANNER = "repro-unknown-v1"
-            OTHER_SCHEMA = "not a schema tag"
-            """,
-            path=self.OBS,
-        )
-        assert "schema-validator-sync" not in codes(report)
-
-    def test_outside_obs_is_exempt(self):
-        report = run(
-            """
-            MY_SCHEMA = "repro-nonexistent-v1"
-            """,
-            path="src/repro/mcm/fixture.py",
-        )
-        assert "schema-validator-sync" not in codes(report)
-
-    def test_check_py_itself_is_exempt(self):
-        report = run(
-            """
-            GHOST_SCHEMA = "repro-ghost-v1"
-            """,
-            path="src/repro/obs/check.py",
-        )
-        assert "schema-validator-sync" not in codes(report)

@@ -1,15 +1,14 @@
 """Unit tests for the numpy kernel layer (:mod:`repro.kernels`).
 
 Covers the pieces the differential oracle exercises only indirectly:
-kernel selection and the no-numpy guard, the eigenvalue kernel's
-guards, certificate and cancellation, the numerical-guard fallback
-(with its provenance and metrics trail) and the observability surface
-(span attributes, provenance round trip, schema validation).
+kernel selection, the eigenvalue kernel's guards, certificate and
+cancellation, the numerical-guard fallback (with its provenance and
+metrics trail) and the observability surface (span attributes,
+provenance round trip, schema validation).
 """
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 
 import pytest
@@ -20,14 +19,8 @@ from repro.analysis.deadline import CancelToken, Deadline
 from repro.analysis.throughput import throughput
 from repro.core.symbolic import symbolic_iteration
 from repro.errors import AnalysisCancelled
-from repro.kernels import (
-    KernelUnavailableError,
-    NumericalGuardError,
-    available_kernels,
-    numpy_available,
-    resolve_kernel,
-)
-from repro.kernels.backend import MAX_EXACT_FLOAT_SUM, _reset_numpy_cache
+from repro.kernels import NumericalGuardError, resolve_kernel
+from repro.kernels.backend import MAX_EXACT_FLOAT_SUM
 from repro.maxplus.algebra import EPSILON
 from repro.maxplus.matrix import MaxPlusMatrix
 from repro.maxplus.spectral import critical_cycle
@@ -76,35 +69,12 @@ class TestKernelSelection:
         assert resolve_kernel("exact") == "exact"
         assert resolve_kernel("numpy") == "numpy"
         assert resolve_kernel("auto") == "numpy"
-        assert available_kernels() == ("numpy", "exact")
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValueError, match="unknown kernel"):
             resolve_kernel("cuda")
         with pytest.raises(ValueError, match="unknown kernel"):
             throughput(_small_sdf(), kernel="cuda")
-
-    def test_without_numpy_auto_degrades_and_explicit_raises(self, monkeypatch):
-        """The analysis stack must run on hosts without numpy."""
-        monkeypatch.setitem(sys.modules, "numpy", None)  # import -> ImportError
-        _reset_numpy_cache()
-        try:
-            assert not numpy_available()
-            assert available_kernels() == ("exact",)
-            assert resolve_kernel("auto") == "exact"
-            with pytest.raises(KernelUnavailableError):
-                resolve_kernel("numpy")
-            with pytest.raises(KernelUnavailableError):
-                throughput(_small_sdf(), kernel="numpy")
-            result = throughput(_small_sdf(), kernel="auto")
-            assert result.cycle_time == Fraction(4)
-            assert result.provenance.kernel == "exact"
-            assert result.provenance.degradation_reason is None
-            with pytest.raises(KernelUnavailableError):
-                symbolic_iteration(_small_sdf(), kernel="numpy")
-            assert len(symbolic_iteration(_small_sdf()).firing_starts) == 2
-        finally:
-            _reset_numpy_cache()
 
 
 def _pair_sdf():

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from repro.errors import ConvergenceError
-from repro.kernels import numpy_available
 from repro.maxplus.algebra import EPSILON
 from repro.maxplus.matrix import MaxPlusMatrix, MaxPlusVector
 from repro.maxplus.spectral import (
@@ -88,7 +87,6 @@ _SMALL = {
 }
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy not importable")
 class TestNumpyKernel:
     """``kernel="numpy"`` (the array-native kernel) on the small cases:
     the exact kernel's value, a cycle attaining it, the same errors."""

@@ -234,6 +234,21 @@ class TestDerivation:
     def test_copy_preserves_structure(self, two_actor_multirate):
         assert two_actor_multirate.copy().structurally_equal(two_actor_multirate)
 
+    def test_copy_keeps_the_auto_name_counter(self):
+        """Equal derivations of a graph, its copy and its pickle must
+        name the next auto-named edge alike, or their fingerprints (and
+        so their cache keys) drift apart."""
+        g = SDFGraph("counter")
+        g.add_actor("a")
+        for _ in range(3):
+            g.add_edge("a", "a", tokens=1)
+        g.remove_edge("e2")
+        clone, loaded = g.copy(), pickle.loads(pickle.dumps(g))
+        names = {h.add_edge("a", "a", tokens=1).name
+                 for h in (g, clone, loaded)}
+        assert names == {"e3"}
+        assert g.fingerprint() == clone.fingerprint() == loaded.fingerprint()
+
     def test_with_self_loops(self, simple_ring):
         looped = simple_ring.with_self_loops()
         assert all(looped.has_self_loop(a) for a in looped.actor_names)
