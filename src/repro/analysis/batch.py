@@ -65,6 +65,7 @@ from repro.sdf.graph import SDFGraph
 
 __all__ = [
     "ANALYSES",
+    "BACKENDS",
     "BatchReport",
     "GraphResult",
     "analyse_graph",
@@ -73,6 +74,9 @@ __all__ = [
 
 #: Analyses the batch runner knows how to dispatch, by name.
 ANALYSES = ("repetition", "throughput", "latency", "symbolic_iteration")
+
+#: Execution backends of :func:`run_batch`; the first is the default.
+BACKENDS = ("thread", "process", "serial")
 
 #: Error types treated as transient (retried with backoff).
 _TRANSIENT = (TransientWorkerError, OSError, ConnectionError)
@@ -473,7 +477,7 @@ def run_batch(
                 )
             else:
                 raise ValueError(
-                    f"unknown backend {backend!r}; use thread, process or serial"
+                    f"unknown backend {backend!r}; use one of {', '.join(BACKENDS)}"
                 )
     finally:
         cache.attach_store(previous_store)

@@ -135,6 +135,9 @@ def hsdf_cycle_ratio_graph(graph: SDFGraph) -> RatioGraph:
 #: Analysis algorithm behind each back-end, named in provenance records.
 _ALGORITHMS = {"symbolic": "karp", "simulation": "simulation", "hsdf": "howard"}
 
+#: The throughput back-ends; the first is the default.
+METHODS = tuple(_ALGORITHMS)
+
 
 def _dispatch_kernel(info, method, numpy_call, exact_call):
     """Run the numpy kernel when selected, falling back to exact.
@@ -388,4 +391,4 @@ def _throughput(graph, method, precheck, deadline, witness, info=None):
                 keys=(lambda edge: edge.key) if homogeneous else None,
             ).arcs
             return result, arcs, "actor", "howard", None
-        raise ValueError(f"unknown method {method!r}; use symbolic, simulation or hsdf")
+        raise ValueError(f"unknown method {method!r}; use one of {', '.join(METHODS)}")

@@ -1,29 +1,14 @@
 """Command-line interface: ``python -m repro <command> …``.
 
-Gives the library's analyses a design-flow-friendly surface::
-
-    python -m repro info graph.json
-    python -m repro throughput graph.xml --method symbolic
-    python -m repro throughput graph.xml --trace trace.json --metrics m.prom
-    python -m repro explain builtin:modem --html report.html --json prov.json
-    python -m repro batch --registry --workers 4 --analysis throughput latency
-    python -m repro batch --registry --store .repro-store
-    python -m repro cache verify --store .repro-store --json verify.json
-    python -m repro obs analyze trace.json --json summary.json
-    python -m repro obs flame spans.jsonl -o profile.folded
-    python -m repro obs diff before.json after.json --format html -o diff.html
-    python -m repro obs regress --history benchmarks/results/history.jsonl
-    python -m repro obs check trace.json metrics.prom BENCH_obs.json
-    python -m repro convert graph.json -o compact.json
-    python -m repro convert graph.json --traditional -o expanded.xml
-    python -m repro abstract graph.json --strategy name -o abstract.json
-    python -m repro bottleneck graph.json
-    python -m repro schedule graph.json
-    python -m repro gantt builtin:figure1 --horizon 46
-    python -m repro lint graph.json --format sarif --fail-on error
-    python -m repro csdf csdf-graph.json
-    python -m repro dot builtin:modem -o modem.dot
-    python -m repro table1
+Every command is one row of :data:`COMMANDS`: its name (``"cache
+verify"`` nests under ``cache``), handler, help text, one example and
+its options.  An option several commands share is declared once in
+:data:`OPTIONS`; choice lists and defaults come from the library
+constants that own them, and each numeric option's type checks its
+range, so a bad value is a usage error (exit 2) before any work starts.
+:func:`build_parser` turns the table into the argparse tree,
+:func:`main` maps errors to exit codes (``docs/usage.md#exit-codes``),
+and ``repro --help`` lists every command with its example.
 
 Graphs are read from ``.json`` (the library's dict format) or ``.xml``
 (SDF3-style); the built-in benchmark suite is reachable as
@@ -34,21 +19,31 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import json
 import pathlib
 import sys
 from fractions import Fraction
 
+from repro.analysis.batch import ANALYSES, BACKENDS
+from repro.analysis.deadline import Deadline
+from repro.analysis.faults import parse_fault
 from repro.analysis.latency import latency
-from repro.analysis.throughput import throughput
+from repro.analysis.resilience import KNOWN_STAGES
+from repro.analysis.store import DEFAULT_MAX_BYTES
+from repro.analysis.throughput import METHODS, throughput
 from repro.core.abstraction import abstract_graph
 from repro.core.conservativity import verify_abstraction
-from repro.core.grouping import discover_abstraction
+from repro.core.grouping import STRATEGIES, discover_abstraction
 from repro.core.hsdf_conversion import convert_to_hsdf
 from repro.core.pruning import prune_redundant_edges
-from repro.errors import ReproError
+from repro.errors import AnalysisTimeout, ReproError
 from repro.graphs import TABLE1_CASES
 from repro.graphs.examples import figure2_graph, figure3_graph, section41_example
 from repro.graphs.synthetic import regular_prefetch, remote_memory_access
+from repro.kernels import KERNELS
+from repro.lint.diagnostics import ERROR, WARNING
+from repro.obs import regress
+from repro.obs.diff import DEFAULT_NOISE_FLOOR
 from repro.sdf import io as sdf_io
 from repro.sdf.dot import to_dot
 from repro.sdf.graph import SDFGraph
@@ -84,20 +79,45 @@ def load_graph(spec: str) -> SDFGraph:
     return sdf_io.from_json(text)
 
 
-def save_graph(graph: SDFGraph, path_spec: str) -> None:
-    path = pathlib.Path(path_spec)
-    if path.suffix == ".xml":
-        path.write_text(sdf_io.to_sdf3_xml(graph))
-    elif path.suffix == ".dot":
-        path.write_text(to_dot(graph))
+def load_csdf(spec: str):
+    from repro.csdf.io import from_json as csdf_from_json
+
+    return csdf_from_json(pathlib.Path(spec).read_text())
+
+
+def _graph_text(graph: SDFGraph, path: str) -> str:
+    """``graph`` in the format the suffix of ``path`` names."""
+    suffix = pathlib.Path(path).suffix
+    if suffix == ".xml":
+        return sdf_io.to_sdf3_xml(graph)
+    if suffix == ".dot":
+        return to_dot(graph)
+    return sdf_io.to_json(graph)
+
+
+def _write(text: str, path=None, what: str = "report") -> None:
+    """Write ``text`` to ``path`` with a notice on stderr, or to stdout."""
+    if text and not text.endswith("\n"):
+        text += "\n"
+    if path:
+        pathlib.Path(path).write_text(text)
+        print(f"{what}: written to {path}", file=sys.stderr)
     else:
-        path.write_text(sdf_io.to_json(graph))
+        sys.stdout.write(text)
+
+
+def _json(document) -> str:
+    return json.dumps(document, indent=2)
 
 
 def _fmt(value) -> str:
     if isinstance(value, Fraction) and value.denominator != 1:
         return f"{value} (~{float(value):.6g})"
     return str(value)
+
+
+def _deadline(args):
+    return None if args.timeout is None else Deadline.after(args.timeout)
 
 
 def cmd_info(args) -> int:
@@ -121,9 +141,6 @@ def cmd_info(args) -> int:
 
 
 def cmd_throughput(args) -> int:
-    from repro.analysis.deadline import Deadline
-    from repro.errors import AnalysisTimeout
-
     g = load_graph(args.graph)
     if args.fallback:
         from repro.analysis.resilience import analyse_with_policy
@@ -131,19 +148,9 @@ def cmd_throughput(args) -> int:
         outcome = analyse_with_policy(g, timeout=args.timeout,
                                       kernel=args.kernel)
         print(outcome.describe())
-        return 0 if outcome.status != "timed-out" else 3
-    deadline = Deadline.after(args.timeout) if args.timeout else None
-    try:
-        result = throughput(g, method=args.method, precheck=args.lint,
-                            deadline=deadline, kernel=args.kernel)
-    except AnalysisTimeout as error:
-        progress = ", ".join(f"{k}={v}" for k, v in error.progress.items())
-        print(f"error: analysis timed out after {error.elapsed:.2f}s "
-              f"in stage {error.stage or '?'}"
-              + (f" ({progress})" if progress else ""), file=sys.stderr)
-        print("hint: re-run with --fallback for a conservative bound "
-              "(Theorem 1)", file=sys.stderr)
-        return 3
+        return 3 if outcome.status == "timed-out" else 0
+    result = throughput(g, method=args.method, precheck=args.lint,
+                        deadline=_deadline(args), kernel=args.kernel)
     if result.unbounded:
         print("throughput: unbounded (no recurrent timing constraint)")
         return 0
@@ -154,10 +161,6 @@ def cmd_throughput(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    import json
-
-    from repro.analysis.deadline import Deadline
-    from repro.errors import AnalysisTimeout
     from repro.obs.provenance import WitnessError, verify_witness
     from repro.obs.report import render_html, render_text, witness_highlights
     from repro.obs.trace import Tracer
@@ -169,44 +172,26 @@ def cmd_explain(args) -> int:
         if args.fallback or args.stages:
             from repro.analysis.resilience import DEFAULT_STAGES, AnalysisPolicy
 
-            policy = AnalysisPolicy(
-                stages=tuple(args.stages) if args.stages else DEFAULT_STAGES,
+            outcome = AnalysisPolicy(
+                stages=tuple(args.stages or DEFAULT_STAGES),
                 timeout=args.timeout,
                 kernel=args.kernel,
-            )
-            outcome = policy.run(g)
+            ).run(g)
             record = outcome.record
             timed_out = outcome.status == "timed-out"
         else:
-            deadline = Deadline.after(args.timeout) if args.timeout else None
-            try:
-                result = throughput(g, method=args.method, deadline=deadline,
-                                    kernel=args.kernel)
-            except AnalysisTimeout as error:
-                print(f"error: analysis timed out after {error.elapsed:.2f}s "
-                      f"in stage {error.stage or '?'}", file=sys.stderr)
-                print("hint: re-run with --fallback for a provenance record "
-                      "of the degraded chain", file=sys.stderr)
-                return 3
-            record = result.provenance
+            record = throughput(g, method=args.method, deadline=_deadline(args),
+                                kernel=args.kernel).provenance
 
     print(render_text(record, graph=g))
     if args.json:
-        pathlib.Path(args.json).write_text(
-            json.dumps(record.as_dict(), indent=2) + "\n"
-        )
-        print(f"provenance: written to {args.json}", file=sys.stderr)
+        _write(_json(record.as_dict()), args.json, "provenance")
     if args.html:
-        pathlib.Path(args.html).write_text(
-            render_html(record, graph=g, spans=tracer.spans())
-        )
-        print(f"report: written to {args.html}", file=sys.stderr)
+        _write(render_html(record, graph=g, spans=tracer.spans()), args.html)
     if args.dot:
         actors, edges = witness_highlights(record, g)
-        pathlib.Path(args.dot).write_text(
-            to_dot(g, highlight_actors=actors, highlight_edges=edges)
-        )
-        print(f"dot: written to {args.dot}", file=sys.stderr)
+        _write(to_dot(g, highlight_actors=actors, highlight_edges=edges),
+               args.dot, "dot")
 
     if args.require_witness:
         if record.witness is None:
@@ -233,26 +218,12 @@ def cmd_latency(args) -> int:
 
 
 def cmd_batch(args) -> int:
-    from repro.analysis.batch import ANALYSES, run_batch
+    from repro.analysis.batch import run_batch
     from repro.analysis.cache import default_cache
-    from repro.analysis.faults import FaultPlan, parse_fault
+    from repro.analysis.faults import FaultPlan
 
-    if args.workers < 1:
-        print(f"error: --workers must be >= 1, got {args.workers}", file=sys.stderr)
-        return 2
-    faults = None
-    if args.inject:
-        faults = FaultPlan(
-            tuple(parse_fault(spec) for spec in args.inject),
-            seed=args.fault_seed,
-        )
-    specs = list(args.graphs)
-    graphs = []
-    if args.registry:
-        for case in TABLE1_CASES:
-            graphs.append(case.build())
-    for spec in specs:
-        graphs.append(load_graph(spec))
+    graphs = [case.build() for case in TABLE1_CASES] if args.registry else []
+    graphs += [load_graph(spec) for spec in args.graphs]
     if not graphs:
         print("error: no graphs given (pass specs and/or --registry)", file=sys.stderr)
         return 2
@@ -269,7 +240,8 @@ def cmd_batch(args) -> int:
         lint=args.lint,
         timeout=args.timeout,
         retries=args.retries,
-        faults=faults,
+        faults=FaultPlan(tuple(args.inject), seed=args.fault_seed)
+        if args.inject else None,
         kernel=args.kernel,
         store=args.store,
     )
@@ -316,54 +288,51 @@ def cmd_batch(args) -> int:
     return 0 if not report.failures else 1
 
 
-def cmd_cache(args) -> int:
-    import json
+def _store(args):
+    from repro.analysis.store import ResultStore
 
-    from repro.analysis.store import (
-        DEFAULT_MAX_BYTES,
-        STORE_STATS_SCHEMA,
-        ResultStore,
-    )
+    return ResultStore(args.store)
 
-    max_bytes = getattr(args, "max_bytes", None)
-    store = ResultStore(args.store, max_bytes=max_bytes
-                        if max_bytes is not None else DEFAULT_MAX_BYTES)
 
-    if args.action == "stats":
-        stats = store.stats()
-        if args.json:
-            doc = {"schema": STORE_STATS_SCHEMA, **stats.as_dict()}
-            print(json.dumps(doc, indent=2))
-        else:
-            print(f"store:       {stats.root}")
-            print(f"records:     {stats.records} "
-                  f"({stats.bytes} bytes of {stats.max_bytes} budget)")
-            print(f"quarantined: {stats.quarantined_records}")
-            print(f"tmp files:   {stats.tmp_files}")
+def cmd_cache_stats(args) -> int:
+    from repro.analysis.store import STORE_STATS_SCHEMA
+
+    stats = _store(args).stats()
+    if args.json:
+        _write(_json({"schema": STORE_STATS_SCHEMA, **stats.as_dict()}))
         return 0
+    print(f"store:       {stats.root}")
+    print(f"records:     {stats.records} "
+          f"({stats.bytes} bytes of {stats.max_bytes} budget)")
+    print(f"quarantined: {stats.quarantined_records}")
+    print(f"tmp files:   {stats.tmp_files}")
+    return 0
 
-    if args.action == "verify":
-        report = store.verify(quarantine=not args.no_quarantine)
-        doc = report.as_dict()
-        if args.json:
-            pathlib.Path(args.json).write_text(json.dumps(doc, indent=2) + "\n")
-            print(f"report: written to {args.json}", file=sys.stderr)
-        print(f"verified {report.records} record(s): {report.valid} valid, "
-              f"{len(report.corrupt)} corrupt "
-              f"({report.quarantined_now} quarantined now, "
-              f"{report.undetected_corrupt} undetected)")
-        return 0 if report.ok else 1
 
-    if args.action == "purge":
-        removed = store.purge(analysis=args.analysis,
-                              quarantine_only=args.quarantine)
-        what = ("quarantined record(s)" if args.quarantine
-                else f"{args.analysis or 'all'} record(s)")
-        print(f"purged {removed} {what} from {store.root}")
-        return 0
+def cmd_cache_verify(args) -> int:
+    report = _store(args).verify(quarantine=not args.no_quarantine)
+    if args.json:
+        _write(_json(report.as_dict()), args.json)
+    print(f"verified {report.records} record(s): {report.valid} valid, "
+          f"{len(report.corrupt)} corrupt "
+          f"({report.quarantined_now} quarantined now, "
+          f"{report.undetected_corrupt} undetected)")
+    return 0 if report.ok else 1
 
-    # compact
-    outcome = store.compact()
+
+def cmd_cache_purge(args) -> int:
+    store = _store(args)
+    removed = store.purge(analysis=args.analysis,
+                          quarantine_only=args.quarantine)
+    what = ("quarantined record(s)" if args.quarantine
+            else f"{args.analysis or 'all'} record(s)")
+    print(f"purged {removed} {what} from {store.root}")
+    return 0
+
+
+def cmd_cache_compact(args) -> int:
+    store = _store(args)
+    outcome = store.compact(max_bytes=args.max_bytes)
     print(f"compacted {store.root}: evicted {outcome['evicted']} record(s) "
           f"({outcome['freed_bytes']} bytes), swept {outcome['tmp_removed']} "
           f"tmp file(s), {outcome['remaining_bytes']} bytes remain")
@@ -371,97 +340,46 @@ def cmd_cache(args) -> int:
 
 
 def cmd_obs_analyze(args) -> int:
-    import json
-
     from repro.obs.analyze import render_summary_text, summarize_files
 
-    try:
-        summary = summarize_files(args.traces)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+    summary = summarize_files(args.traces)
     if args.json:
-        pathlib.Path(args.json).write_text(json.dumps(summary, indent=2) + "\n")
-        print(f"summary: written to {args.json} "
-              "(validate with repro obs check)", file=sys.stderr)
-    if args.format == "json":
-        print(json.dumps(summary, indent=2))
-    else:
-        print(render_summary_text(summary, top=args.top))
+        _write(_json(summary), args.json, "summary")
+    _write(_json(summary) if args.format == "json"
+           else render_summary_text(summary, top=args.top))
     return 0
 
 
 def cmd_obs_flame(args) -> int:
     from repro.obs.analyze import collapsed_stacks, load_trace
 
-    try:
-        lines = collapsed_stacks([(str(p), load_trace(p))
-                                  for p in args.traces])
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    if args.output:
-        pathlib.Path(args.output).write_text(
-            "\n".join(lines) + ("\n" if lines else "")
-        )
-        print(f"flamegraph: {len(lines)} stack(s) written to {args.output} "
-              "(feed to flamegraph.pl or https://speedscope.app)",
-              file=sys.stderr)
-    else:
-        for line in lines:
-            print(line)
+    lines = collapsed_stacks([(str(p), load_trace(p)) for p in args.traces])
+    _write("\n".join(lines), args.output, f"flamegraph of {len(lines)} stack(s)")
     return 0
 
 
 def cmd_obs_diff(args) -> int:
-    import json
-
     from repro.obs.diff import diff_files, render_diff_html, render_diff_text
 
-    try:
-        diff = diff_files(args.a, args.b, noise_floor=args.noise)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    render = {
-        "text": render_diff_text,
-        "json": lambda d: json.dumps(d, indent=2),
-        "html": render_diff_html,
-    }
-    text = render[args.format](diff)
-    if args.output:
-        pathlib.Path(args.output).write_text(text + "\n")
-        print(f"diff: written to {args.output}", file=sys.stderr)
-    else:
-        print(text)
+    diff = diff_files(args.a, args.b, noise_floor=args.noise)
+    render = {"text": render_diff_text, "json": _json, "html": render_diff_html}
+    _write(render[args.format](diff), args.output, "diff")
     return 0
 
 
 def cmd_obs_regress(args) -> int:
-    import json
-
-    from repro.obs.regress import evaluate_history, render_regress_text
-
-    try:
-        report = evaluate_history(
-            args.history,
-            window=args.window,
-            min_samples=args.min_samples,
-            threshold=args.threshold,
-            noise_rel=args.noise,
-            mad_mult=args.mad_mult,
-        )
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+    report = regress.evaluate_history(
+        args.history,
+        window=args.window,
+        min_samples=args.min_samples,
+        threshold=args.threshold,
+        noise_rel=args.noise,
+        mad_mult=args.mad_mult,
+    )
     if args.json:
-        pathlib.Path(args.json).write_text(json.dumps(report, indent=2) + "\n")
-        print(f"verdicts: written to {args.json} "
-              "(validate with repro obs check)", file=sys.stderr)
-    if args.format == "json":
-        print(json.dumps(report, indent=2))
-    else:
-        print(render_regress_text(report, verbose=args.verbose))
+        _write(_json(report), args.json, "verdicts")
+    _write(_json(report) if args.format == "json"
+           else regress.render_regress_text(report, verbose=args.verbose))
     if report["counts"]["regressed"] and not args.report_only:
         return 5
     return 0
@@ -487,8 +405,7 @@ def cmd_convert(args) -> int:
               f"(bound N(N+2) = {n * (n + 2)}), {conversion.edge_count} edges, "
               f"{conversion.token_count} tokens")
     if args.output:
-        save_graph(converted, args.output)
-        print(f"written to {args.output}")
+        _write(_graph_text(converted, args.output), args.output, "graph")
     return 0
 
 
@@ -511,8 +428,7 @@ def cmd_abstract(args) -> int:
         if cert.relative_error is not None:
             print(f"relative error:    {_fmt(cert.relative_error)}")
     if args.output:
-        save_graph(abstract, args.output)
-        print(f"written to {args.output}")
+        _write(_graph_text(abstract, args.output), args.output, "graph")
     return 0
 
 
@@ -541,16 +457,7 @@ def cmd_schedule(args) -> int:
     return 0
 
 
-def load_csdf(spec: str):
-    import pathlib as _pathlib
-
-    from repro.csdf.io import from_json as csdf_from_json
-
-    return csdf_from_json(_pathlib.Path(spec).read_text())
-
-
 def cmd_csdf(args) -> int:
-    from repro.analysis.throughput import throughput as sdf_throughput
     from repro.csdf import (
         csdf_repetition_vector,
         csdf_throughput,
@@ -578,8 +485,7 @@ def cmd_csdf(args) -> int:
     print(f"compact HSDF: {conversion.actor_count} actors "
           f"(phase expansion: {sum(gamma.values())})")
     if args.output:
-        save_graph(conversion.graph, args.output)
-        print(f"written to {args.output}")
+        _write(_graph_text(conversion.graph, args.output), args.output, "graph")
     return 0
 
 
@@ -655,12 +561,7 @@ def _run_findings(args, codes, render, *, config_name, collect,
         fingerprints = load_baseline(config.baseline)
         reports = [r.without_fingerprints(fingerprints) for r in reports]
 
-    text = render[args.format](reports)
-    if args.output:
-        pathlib.Path(args.output).write_text(text + "\n")
-        print(f"written to {args.output}", file=sys.stderr)
-    else:
-        print(text)
+    _write(render[args.format](reports), args.output)
 
     errors = sum(len(r.errors) for r in reports)
     warnings = sum(len(r.warnings) for r in reports)
@@ -668,7 +569,7 @@ def _run_findings(args, codes, render, *, config_name, collect,
         return 0
     if errors:
         return 2
-    if warnings and args.fail_on == "warning":
+    if warnings and args.fail_on == WARNING:
         return 1
     return 0
 
@@ -684,6 +585,11 @@ def cmd_lint(args) -> int:
         rule_codes,
         run_lint,
     )
+
+    if args.csdf and args.registry:
+        print("error: --registry adds the SDF registry graphs and cannot be "
+              "combined with --csdf", file=sys.stderr)
+        return 2
 
     def collect(config):
         if args.csdf:
@@ -724,8 +630,6 @@ def cmd_devlint(args) -> int:
 
 
 def cmd_gantt(args) -> int:
-    from fractions import Fraction
-
     from repro.sdf.gantt import gantt
 
     g = load_graph(args.graph)
@@ -734,13 +638,7 @@ def cmd_gantt(args) -> int:
 
 
 def cmd_dot(args) -> int:
-    g = load_graph(args.graph)
-    text = to_dot(g)
-    if args.output:
-        pathlib.Path(args.output).write_text(text)
-        print(f"written to {args.output}")
-    else:
-        print(text, end="")
+    _write(to_dot(load_graph(args.graph)), args.output, "dot")
     return 0
 
 
@@ -759,16 +657,6 @@ def cmd_builtins(args) -> int:
     for name in sorted(BUILTIN_GRAPHS):
         print(f"builtin:{name}")
     return 0
-
-
-def _add_observability_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--trace", metavar="FILE",
-                   help="record a trace of the run: Chrome trace_event JSON "
-                        "(open in chrome://tracing or ui.perfetto.dev), or "
-                        "one span per line when FILE ends in .jsonl")
-    p.add_argument("--metrics", metavar="FILE",
-                   help="dump the metrics registry after the run: Prometheus "
-                        "text for .prom/.txt, JSON snapshot otherwise")
 
 
 @contextlib.contextmanager
@@ -808,399 +696,399 @@ def _observe(args):
             print(f"metrics: written to {metrics_path}", file=sys.stderr)
 
 
+# ----------------------------------------------------------------------
+# the command table
+# ----------------------------------------------------------------------
+
+def _at_least(cast, low, *, strictly=False):
+    """An argparse type: ``cast`` the text and require ``>= low`` (``> low``
+    when ``strictly``); anything else is a usage error naming the flag."""
+    bound = f"{'>' if strictly else '>='} {low}"
+
+    def parse(text):
+        try:
+            value = cast(text)
+        except ValueError:
+            value = None
+        if value is None or not (value > low if strictly else value >= low):
+            raise argparse.ArgumentTypeError(
+                f"expected {cast.__name__} {bound}, got {text!r}")
+        return value
+
+    return parse
+
+
+def _fault(spec: str):
+    """``parse_fault`` as an argparse type, its own message kept."""
+    try:
+        return parse_fault(spec)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+
+
+POSITIVE_INT = _at_least(int, 1)
+NATURAL = _at_least(int, 0)
+NON_NEGATIVE = _at_least(float, 0)
+SECONDS = _at_least(float, 0, strictly=True)
+
+#: Options shared by several commands, each declared once as
+#: ``name -> (flags, add_argument keyword arguments)``.
+OPTIONS = {
+    "graph": (("graph",), {"help": "graph file (.json/.xml) or builtin:<name>"}),
+    "graphs": (("graphs",), {"nargs": "*", "metavar": "graph",
+                             "help": "graph files or builtin:<name> specs"}),
+    "registry": (("--registry",), {"action": "store_true",
+                                   "help": "include every Table-1 registry graph"}),
+    "method": (("--method",), {"choices": METHODS, "default": METHODS[0],
+                               "help": "throughput back-end (default %(default)s)"}),
+    "kernel": (("--kernel",), {
+        "choices": KERNELS, "default": KERNELS[0],
+        "help": "compute kernel: numpy (vectorized, exact-certified), exact "
+                "(pure-python Fractions) or auto (numpy); results are "
+                "identical, and --method hsdf always runs exact"}),
+    "timeout": (("--timeout",), {
+        "type": SECONDS, "metavar": "SECONDS",
+        "help": "cooperative deadline, per graph for batch (a positive "
+                "number of seconds)"}),
+    "fallback": (("--fallback",), {
+        "action": "store_true",
+        "help": "analyse through the tiered policy (exact -> symbolic -> "
+                "Theorem-1 conservative bound) and report the whole chain"}),
+    "trace": (("--trace",), {
+        "metavar": "FILE",
+        "help": "record a trace of the run: Chrome trace_event JSON (open in "
+                "chrome://tracing or ui.perfetto.dev), or one span per line "
+                "when FILE ends in .jsonl"}),
+    "metrics": (("--metrics",), {
+        "metavar": "FILE",
+        "help": "dump the metrics registry after the run: Prometheus text for "
+                ".prom/.txt, JSON snapshot otherwise"}),
+    "store": (("--store",), {"metavar": "DIR", "required": True,
+                             "help": "root directory of the result store"}),
+    "json": (("--json",), {"metavar": "FILE",
+                           "help": "also write the command's JSON document "
+                                   "(validate with repro obs check)"}),
+    "format": (("--format",), {"choices": ("text", "json"), "default": "text",
+                               "help": "terminal report or the JSON document"}),
+    "output": (("-o", "--output"), {"metavar": "FILE",
+                                    "help": "write to FILE instead of stdout"}),
+    "graph-output": (("-o", "--output"), {
+        "metavar": "FILE",
+        "help": "write the resulting graph: .xml as SDF3, .dot as DOT, "
+                "anything else as JSON"}),
+    "traces": (("traces",), {"nargs": "+", "metavar": "TRACE",
+                             "help": "trace files from --trace (Chrome JSON "
+                                     "or .jsonl)"}),
+    "verbose": (("-v", "--verbose"), {"action": "store_true",
+                                      "help": "more detail"}),
+    # The findings pipeline of lint and devlint.
+    "findings-format": (("--format",), {
+        "choices": ("text", "json", "sarif"), "default": "text",
+        "help": "output format (default %(default)s)"}),
+    "fail-on": (("--fail-on",), {
+        "choices": (ERROR, WARNING, "never"), "default": ERROR,
+        "help": "exit 2 on errors; 'warning' also exits 1 on warnings-only; "
+                "'never' always exits 0"}),
+    "select": (("--select",), {"metavar": "CODES",
+                               "help": "comma-separated rule codes to run "
+                                       "(default: all)"}),
+    "ignore": (("--ignore",), {"metavar": "CODES",
+                               "help": "comma-separated rule codes to suppress"}),
+    "baseline": (("--baseline",), {
+        "metavar": "FILE",
+        "help": "subtract the accepted findings in this baseline file"}),
+    "write-baseline": (("--write-baseline",), {
+        "metavar": "FILE",
+        "help": "write the current findings as a new baseline"}),
+    "config": (("--config",), {
+        "metavar": "FILE",
+        "help": "config file (default: the command's own config file in "
+                "the working directory, when present; see docs/lint.md)"}),
+}
+
+FINDINGS = ("findings-format", "fail-on", "select", "ignore", "baseline",
+            "write-baseline", "config", "output", "trace", "metrics")
+
+#: Help of the commands that only group others.
+GROUPS = {
+    "cache": "inspect and maintain a durable result store "
+             "(see docs/robustness.md for the durability model)",
+    "obs": "consume the emitted telemetry: trace analytics, flamegraphs, "
+           "A/B diffs, the benchmark regression sentinel and schema checks "
+           "(see docs/observability.md)",
+}
+
+#: One row per command: (name, handler, help, example, options).  An
+#: option is the name of a shared one or its own ``(flags, kwargs)``.
+COMMANDS = (
+    ("info", cmd_info, "structural facts and consistency",
+     "info builtin:modem --verbose", ("graph", "verbose")),
+    ("throughput", cmd_throughput, "exact throughput analysis",
+     "throughput builtin:mp3-playback --timeout 5 --fallback",
+     ("graph", "method", "kernel",
+      (("--lint",), {"action": "store_true",
+                     "help": "lint first; refuse graphs with error findings"}),
+      "timeout", "fallback", "trace", "metrics")),
+    ("explain", cmd_explain,
+     "how a throughput number was produced: reduction steps, fallback tiers "
+     "and an independently checkable critical-cycle witness "
+     "(repro-provenance-v1)",
+     "explain builtin:modem --json cert.json --require-witness",
+     ("graph", "method", "kernel", "timeout", "fallback",
+      (("--stages",), {
+          "nargs": "+", "metavar": "STAGE", "choices": KNOWN_STAGES,
+          "help": "restrict the policy to these tiers (implies --fallback); "
+                  "e.g. --stages abstraction forces the Theorem-1 "
+                  "conservative bound"}),
+      "json",
+      (("--html",), {"metavar": "FILE",
+                     "help": "write a self-contained HTML report (step table, "
+                             "highlighted critical cycle, tier timeline)"}),
+      (("--dot",), {"metavar": "FILE",
+                    "help": "write the graph as DOT with the critical cycle "
+                            "highlighted"}),
+      (("--require-witness",), {
+          "action": "store_true",
+          "help": "exit 4 unless the record carries a witness that verifies "
+                  "against the graph"}))),
+    ("batch", cmd_batch, "analyse many graphs concurrently (cached)",
+     "batch --registry --workers 4 --store .repro-store",
+     ("graphs", "registry",
+      (("--analysis",), {"nargs": "+", "choices": ANALYSES,
+                         "default": ["throughput"]}),
+      "method", "kernel",
+      (("--backend",), {"choices": BACKENDS, "default": BACKENDS[0]}),
+      (("--workers",), {"type": POSITIVE_INT, "default": 4}),
+      (("--lint",), {"choices": (ERROR, WARNING),
+                     "help": "pre-analysis lint gate: fail graphs with "
+                             "findings at this severity before analysing "
+                             "them"}),
+      "timeout",
+      (("--retries",), {"type": NATURAL, "default": 0,
+                        "help": "retries (with backoff) for transient "
+                                "failures"}),
+      (("--store",), {
+          "metavar": "DIR",
+          "help": "durable result store: serve repeat analyses from disk and "
+                  "publish new results crash-consistently, so re-running a "
+                  "killed sweep with the same store resumes it (inspect with "
+                  "'repro cache')"}),
+      (("--inject",), {
+          "action": "append", "metavar": "SPEC", "default": [], "type": _fault,
+          "help": "deterministic fault injection, e.g. 'name=modem:kill', "
+                  "'p=0.2:raise:TransientWorkerError@1', "
+                  "'fp=sdfg-v1:ab:hang' (repeatable)"}),
+      (("--fault-seed",), {"type": int, "default": 0,
+                           "help": "seed for probabilistic fault selectors"}),
+      "trace", "metrics")),
+    ("cache stats", cmd_cache_stats, "record census and size budget",
+     "cache stats --store .repro-store --json",
+     ("store", (("--json",), {"action": "store_true",
+                              "help": "print a repro-store-stats-v1 JSON "
+                                      "document"}))),
+    ("cache verify", cmd_cache_verify,
+     "re-check every record's checksum, key echo and payload; quarantine "
+     "corrupt ones (exit 1 if any corruption survives undetected)",
+     "cache verify --store .repro-store --json verify.json",
+     ("store", "json",
+      (("--no-quarantine",), {"action": "store_true",
+                              "help": "report corrupt records but leave them "
+                                      "in place"}))),
+    ("cache purge", cmd_cache_purge, "delete records",
+     "cache purge --store .repro-store --quarantine",
+     ("store",
+      (("--analysis",), {"metavar": "NAME",
+                         "help": "only records of this analysis"}),
+      (("--quarantine",), {"action": "store_true",
+                           "help": "only the quarantine directory"}))),
+    ("cache compact", cmd_cache_compact,
+     "sweep tmp garbage and evict LRU records to budget",
+     "cache compact --store .repro-store --max-bytes 1000000",
+     ("store",
+      (("--max-bytes",), {
+          "type": POSITIVE_INT, "metavar": "N",
+          "help": "size budget to compact down to (default "
+                  f"{DEFAULT_MAX_BYTES} bytes)"}))),
+    ("obs analyze", cmd_obs_analyze,
+     "reconstruct span trees from trace files (Chrome trace or span JSONL), "
+     "attribute self time per (stage, graph, kernel) and extract the "
+     "critical path (repro-trace-summary-v1)",
+     "obs analyze symbolic.jsonl hsdf.jsonl --json summary.json",
+     ("traces", "format", "json",
+      (("--top",), {"type": POSITIVE_INT, "default": 20,
+                    "help": "stage rows to show in the text report "
+                            "(default %(default)s)"}))),
+    ("obs flame", cmd_obs_flame,
+     "collapsed-stack flamegraph (self-time µs per unique span stack; "
+     "render with flamegraph.pl or speedscope.app)",
+     "obs flame trace.jsonl -o trace.folded", ("traces", "output")),
+    ("obs diff", cmd_obs_diff,
+     "structural A/B diff of two trace summaries or two repro-metrics-v1 "
+     "snapshots, with noise-floored relative deltas (repro-trace-diff-v1)",
+     "obs diff before.json after.json --format html -o diff.html",
+     ((("a",), {"help": "baseline document (JSON)"}),
+      (("b",), {"help": "candidate document (JSON)"}),
+      (("--format",), {"choices": ("text", "json", "html"), "default": "text"}),
+      (("--noise",), {
+          "type": NON_NEGATIVE, "default": DEFAULT_NOISE_FLOOR,
+          "metavar": "FRACTION",
+          "help": "relative changes below this magnitude are published as "
+                  "unchanged (default %(default)s)"}),
+      "output")),
+    ("obs regress", cmd_obs_regress,
+     "statistical regression sentinel over the benchmark history journal: "
+     "per-(suite, entry) robust baselines (median + MAD over "
+     "host-compatible samples), exit 5 on any regression (repro-regress-v1)",
+     "obs regress --report-only --json verdicts.json",
+     ((("--history",), {"metavar": "FILE",
+                        "default": "benchmarks/results/history.jsonl",
+                        "help": "history journal (default %(default)s)"}),
+      (("--window",), {"type": POSITIVE_INT, "default": regress.DEFAULT_WINDOW,
+                       "metavar": "K",
+                       "help": "rolling baseline window (default %(default)s)"}),
+      (("--min-samples",), {
+          "type": POSITIVE_INT, "default": regress.DEFAULT_MIN_SAMPLES,
+          "metavar": "N",
+          "help": "host-compatible priors needed for a verdict "
+                  "(default %(default)s)"}),
+      (("--threshold",), {
+          "type": NON_NEGATIVE, "default": regress.DEFAULT_THRESHOLD,
+          "metavar": "FRACTION",
+          "help": "relative drift that counts as a regression "
+                  "(default %(default)s)"}),
+      (("--noise",), {
+          "type": NON_NEGATIVE, "default": regress.DEFAULT_NOISE_REL,
+          "metavar": "FRACTION",
+          "help": "MAD/|median| above this marks a series noisy "
+                  "(default %(default)s)"}),
+      (("--mad-mult",), {
+          "type": NON_NEGATIVE, "default": regress.DEFAULT_MAD_MULT,
+          "metavar": "X",
+          "help": "widen the threshold to X times the series' own MAD "
+                  "(default %(default)s)"}),
+      "format", "json",
+      (("--report-only",), {"action": "store_true",
+                            "help": "always exit 0 (report without gating)"}),
+      "verbose")),
+    ("obs check", cmd_obs_check,
+     "validate observability/benchmark artefacts against their schemas",
+     "obs check trace.json metrics.prom BENCH_obs.json",
+     ((("paths",), {"nargs": "+", "metavar": "ARTEFACT"}),)),
+    ("latency", cmd_latency, "single-iteration latency",
+     "latency builtin:figure1", ("graph",)),
+    ("convert", cmd_convert, "SDF-to-HSDF conversion",
+     "convert builtin:modem --traditional -o expanded.xml",
+     ("graph",
+      (("--traditional",), {"action": "store_true",
+                            "help": "classical expansion instead of the "
+                                    "compact conversion"}),
+      "graph-output")),
+    ("abstract", cmd_abstract, "discover and apply an abstraction",
+     "abstract builtin:figure1 --verify -o abstract.json",
+     ("graph",
+      (("--strategy",), {"choices": STRATEGIES, "default": STRATEGIES[0]}),
+      (("--verify",), {"action": "store_true",
+                       "help": "verify conservativity (Theorem 1) "
+                               "numerically"}),
+      (("--no-dominance",), {"action": "store_true",
+                             "help": "skip the Proposition-1 dominance check "
+                                     "(large graphs)"}),
+      "graph-output")),
+    ("map", cmd_map, "multiprocessor mapping sweep / analysis",
+     "map builtin:modem --max-processors 8",
+     ("graph",
+      (("--processors",), {"type": NATURAL, "default": 0,
+                           "help": "analyse one greedy mapping at this "
+                                   "processor count"}),
+      (("--max-processors",), {"type": POSITIVE_INT, "default": 4,
+                               "help": "sweep 1..N processors "
+                                       "(default %(default)s)"}))),
+    ("csdf", cmd_csdf, "analyse a cyclo-static (CSDF) JSON graph",
+     "csdf csdf-graph.json -o compact.json",
+     ((("graph",), {"help": "CSDF graph (.json)"}), "graph-output")),
+    ("lint", cmd_lint,
+     "static analysis: structured diagnostics (text/json/sarif)",
+     "lint --registry --format sarif -o lint.sarif",
+     ("graphs", "registry",
+      (("--csdf",), {"action": "store_true",
+                     "help": "treat the inputs as CSDF JSON graphs"}),
+      *FINDINGS)),
+    ("devlint", cmd_devlint,
+     "source-level invariant analyzer over the project's own code",
+     "devlint src/repro --fail-on error",
+     ((("paths",), {"nargs": "*", "metavar": "path",
+                    "help": "files or directories to analyze "
+                            "(default: src/repro)"}),
+      *FINDINGS)),
+    ("gantt", cmd_gantt, "ASCII Gantt chart of self-timed execution",
+     "gantt builtin:figure1 --horizon 46",
+     ("graph",
+      (("--horizon",), {"type": NATURAL, "default": 50,
+                        "help": "simulate until this time "
+                                "(default %(default)s)"}),
+      (("--width",), {"type": POSITIVE_INT, "default": 100,
+                      "help": "chart width in columns "
+                              "(default %(default)s)"}))),
+    ("bottleneck", cmd_bottleneck, "locate the critical cycle",
+     "bottleneck builtin:modem", ("graph",)),
+    ("schedule", cmd_schedule, "rate-optimal static periodic schedule",
+     "schedule builtin:figure3", ("graph",)),
+    ("dot", cmd_dot, "Graphviz DOT export", "dot builtin:modem -o modem.dot",
+     ("graph", "output")),
+    ("table1", cmd_table1, "regenerate Table 1 of the paper", "table1", ()),
+    ("builtins", cmd_builtins, "list built-in graphs", "builtins", ()),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     from repro import __version__
 
     parser = argparse.ArgumentParser(
         prog="repro",
-        description="SDF graph reduction and analysis (Geilen, DAC 2009 reproduction)",
+        description="SDF graph reduction and analysis "
+                    "(Geilen, DAC 2009 reproduction)",
+        epilog="examples:\n" + "".join(f"  repro {row[3]}\n" for row in COMMANDS)
+        + "\nexit codes: see docs/usage.md#exit-codes",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--version", action="version",
                         version=f"repro {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("info", help="structural facts and consistency")
-    p.add_argument("graph")
-    p.add_argument("-v", "--verbose", action="store_true")
-    p.set_defaults(func=cmd_info)
-
-    p = sub.add_parser("throughput", help="exact throughput analysis")
-    p.add_argument("graph")
-    p.add_argument("--method", choices=("symbolic", "simulation", "hsdf"),
-                   default="symbolic")
-    p.add_argument("--kernel", choices=("auto", "numpy", "exact"),
-                   default="auto",
-                   help="compute kernel: numpy (vectorized, exact-certified), "
-                        "exact (pure-python Fractions) or auto (numpy); "
-                        "results are identical either way, and "
-                        "--method hsdf always runs exact")
-    p.add_argument("--lint", action="store_true",
-                   help="lint first; refuse graphs with error findings")
-    p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                   help="cooperative deadline for the analysis")
-    p.add_argument("--fallback", action="store_true",
-                   help="on timeout, degrade through the tiered policy "
-                        "(exact -> symbolic -> Theorem-1 conservative bound)")
-    _add_observability_args(p)
-    p.set_defaults(func=cmd_throughput)
-
-    p = sub.add_parser(
-        "explain",
-        help="how a throughput number was produced: reduction steps, "
-             "fallback tiers and an independently checkable "
-             "critical-cycle witness (repro-provenance-v1)",
-    )
-    p.add_argument("graph")
-    p.add_argument("--method", choices=("symbolic", "simulation", "hsdf"),
-                   default="symbolic")
-    p.add_argument("--kernel", choices=("auto", "numpy", "exact"),
-                   default="auto",
-                   help="compute kernel (recorded in the provenance "
-                        "certificate; see docs/kernels.md)")
-    p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                   help="cooperative deadline (exit 3 on timeout)")
-    p.add_argument("--fallback", action="store_true",
-                   help="analyse through the tiered policy and explain the "
-                        "whole chain (tier history, degradation reason)")
-    p.add_argument("--stages", nargs="+", metavar="STAGE",
-                   choices=("simulation", "symbolic", "hsdf", "abstraction"),
-                   help="restrict the policy to these tiers (implies "
-                        "--fallback); e.g. --stages abstraction forces the "
-                        "Theorem-1 conservative bound")
-    p.add_argument("--json", metavar="FILE",
-                   help="write the repro-provenance-v1 certificate "
-                        "(validate with python -m repro.obs.check)")
-    p.add_argument("--html", metavar="FILE",
-                   help="write a self-contained HTML report (step table, "
-                        "highlighted critical cycle, tier timeline)")
-    p.add_argument("--dot", metavar="FILE",
-                   help="write the graph as DOT with the critical cycle "
-                        "highlighted")
-    p.add_argument("--require-witness", action="store_true",
-                   help="exit 4 unless the record carries a witness that "
-                        "verifies against the graph")
-    p.set_defaults(func=cmd_explain)
-
-    p = sub.add_parser("batch", help="analyse many graphs concurrently (cached)")
-    p.add_argument("graphs", nargs="*", metavar="graph",
-                   help="graph files or builtin:<name> specs")
-    p.add_argument("--registry", action="store_true",
-                   help="include all Table-1 registry graphs")
-    p.add_argument("--analysis", nargs="+",
-                   choices=("repetition", "throughput", "latency",
-                            "symbolic_iteration"),
-                   default=["throughput"])
-    p.add_argument("--method", choices=("symbolic", "simulation", "hsdf"),
-                   default="symbolic", help="throughput back-end")
-    p.add_argument("--kernel", choices=("auto", "numpy", "exact"),
-                   default="auto",
-                   help="compute kernel for throughput analyses; cache "
-                        "entries and store records are shared across kernels")
-    p.add_argument("--backend", choices=("thread", "process", "serial"),
-                   default="thread")
-    p.add_argument("--workers", type=int, default=4)
-    p.add_argument("--lint", choices=("error", "warning"), default=None,
-                   help="pre-analysis lint gate: fail graphs with findings "
-                        "at this severity before analysing them")
-    p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                   help="per-graph cooperative deadline")
-    p.add_argument("--retries", type=int, default=0,
-                   help="retries (with backoff) for transient failures")
-    p.add_argument("--store", metavar="DIR",
-                   help="durable result store: serve repeat analyses from "
-                        "disk and publish new results crash-consistently, so "
-                        "re-running a killed sweep with the same store "
-                        "resumes it (shared with process-backend workers; "
-                        "inspect with 'repro cache')")
-    p.add_argument("--inject", action="append", metavar="SPEC", default=[],
-                   help="deterministic fault injection, e.g. "
-                        "'name=modem:kill', 'p=0.2:raise:"
-                        "TransientWorkerError@1', 'fp=sdfg-v1:ab:hang' "
-                        "(repeatable)")
-    p.add_argument("--fault-seed", type=int, default=0,
-                   help="seed for probabilistic fault selectors")
-    _add_observability_args(p)
-    p.set_defaults(func=cmd_batch)
-
-    p = sub.add_parser(
-        "cache",
-        help="inspect and maintain a durable result store "
-             "(see docs/robustness.md for the durability model)",
-    )
-    cache_sub = p.add_subparsers(dest="action", required=True)
-
-    def _store_arg(sp):
-        sp.add_argument("--store", metavar="DIR", required=True,
-                        help="root directory of the result store")
-
-    sp = cache_sub.add_parser("stats", help="record census and size budget")
-    _store_arg(sp)
-    sp.add_argument("--json", action="store_true",
-                    help="print a repro-store-stats-v1 JSON document")
-    sp.set_defaults(func=cmd_cache)
-
-    sp = cache_sub.add_parser(
-        "verify",
-        help="re-check every record's checksum, key echo and payload; "
-             "quarantine corrupt ones (exit 1 if any corruption survives "
-             "undetected)",
-    )
-    _store_arg(sp)
-    sp.add_argument("--json", metavar="FILE",
-                    help="write a repro-store-verify-v1 report (validate "
-                         "with python -m repro.obs.check)")
-    sp.add_argument("--no-quarantine", action="store_true",
-                    help="report corrupt records but leave them in place")
-    sp.set_defaults(func=cmd_cache)
-
-    sp = cache_sub.add_parser("purge", help="delete records")
-    _store_arg(sp)
-    sp.add_argument("--analysis", metavar="NAME",
-                    help="only records of this analysis")
-    sp.add_argument("--quarantine", action="store_true",
-                    help="only the quarantine directory")
-    sp.set_defaults(func=cmd_cache)
-
-    sp = cache_sub.add_parser(
-        "compact", help="sweep tmp garbage and evict LRU records to budget"
-    )
-    _store_arg(sp)
-    sp.add_argument("--max-bytes", type=int, default=None, metavar="N",
-                    help="size budget to compact down to (default 256 MiB)")
-    sp.set_defaults(func=cmd_cache)
-
-    p = sub.add_parser(
-        "obs",
-        help="consume the emitted telemetry: trace analytics, "
-             "flamegraphs, A/B diffs, the benchmark regression sentinel "
-             "and schema checks (see docs/observability.md)",
-    )
-    obs_sub = p.add_subparsers(dest="action", required=True)
-
-    sp = obs_sub.add_parser(
-        "analyze",
-        help="reconstruct span trees from trace files (Chrome trace or "
-             "span JSONL), attribute self time per (stage, graph, kernel) "
-             "and extract the critical path (repro-trace-summary-v1)",
-    )
-    sp.add_argument("traces", nargs="+", metavar="TRACE",
-                    help="trace files from --trace (Chrome JSON or .jsonl); "
-                         "several runs aggregate into one percentile table")
-    sp.add_argument("--format", choices=("text", "json"), default="text",
-                    help="terminal report or the raw summary document")
-    sp.add_argument("--json", metavar="FILE",
-                    help="also write the repro-trace-summary-v1 document")
-    sp.add_argument("--top", type=int, default=20,
-                    help="stage rows to show in the text report (default 20)")
-    sp.set_defaults(func=cmd_obs_analyze)
-
-    sp = obs_sub.add_parser(
-        "flame",
-        help="collapsed-stack flamegraph (self-time µs per unique span "
-             "stack; render with flamegraph.pl or speedscope.app)",
-    )
-    sp.add_argument("traces", nargs="+", metavar="TRACE")
-    sp.add_argument("-o", "--output", metavar="FILE",
-                    help="write the .folded file (default: stdout)")
-    sp.set_defaults(func=cmd_obs_flame)
-
-    sp = obs_sub.add_parser(
-        "diff",
-        help="structural A/B diff of two trace summaries or two "
-             "repro-metrics-v1 snapshots, with noise-floored relative "
-             "deltas (repro-trace-diff-v1)",
-    )
-    sp.add_argument("a", help="baseline document (JSON)")
-    sp.add_argument("b", help="candidate document (JSON)")
-    sp.add_argument("--format", choices=("text", "json", "html"),
-                    default="text")
-    sp.add_argument("--noise", type=float, default=0.05, metavar="FRACTION",
-                    help="relative changes below this magnitude are "
-                         "published as unchanged (default 0.05)")
-    sp.add_argument("-o", "--output", metavar="FILE",
-                    help="write the rendering to a file")
-    sp.set_defaults(func=cmd_obs_diff)
-
-    sp = obs_sub.add_parser(
-        "regress",
-        help="statistical regression sentinel over the benchmark history "
-             "journal: per-(suite, entry) robust baselines (median + MAD "
-             "over host-compatible samples), exit 5 on any regression "
-             "(repro-regress-v1)",
-    )
-    sp.add_argument("--history", metavar="FILE",
-                    default="benchmarks/results/history.jsonl",
-                    help="history journal "
-                         "(default benchmarks/results/history.jsonl)")
-    sp.add_argument("--window", type=int, default=20, metavar="K",
-                    help="rolling baseline window (default 20)")
-    sp.add_argument("--min-samples", dest="min_samples", type=int, default=3,
-                    metavar="N",
-                    help="host-compatible priors needed for a verdict "
-                         "(default 3)")
-    sp.add_argument("--threshold", type=float, default=0.25,
-                    metavar="FRACTION",
-                    help="relative drift that counts as a regression "
-                         "(default 0.25)")
-    sp.add_argument("--noise", type=float, default=0.20, metavar="FRACTION",
-                    help="MAD/|median| above this marks a series noisy "
-                         "(default 0.20)")
-    sp.add_argument("--mad-mult", dest="mad_mult", type=float, default=4.0,
-                    metavar="X",
-                    help="widen the threshold to X times the series' own "
-                         "MAD (default 4.0)")
-    sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.add_argument("--json", metavar="FILE",
-                    help="also write the repro-regress-v1 document")
-    sp.add_argument("--report-only", dest="report_only", action="store_true",
-                    help="always exit 0 (report without gating)")
-    sp.add_argument("-v", "--verbose", action="store_true",
-                    help="also list ok / insufficient-data series")
-    sp.set_defaults(func=cmd_obs_regress)
-
-    sp = obs_sub.add_parser(
-        "check",
-        help="validate observability/benchmark artefacts against their "
-             "schemas (alias of python -m repro.obs.check)",
-    )
-    sp.add_argument("paths", nargs="+", metavar="ARTEFACT")
-    sp.set_defaults(func=cmd_obs_check)
-
-    p = sub.add_parser("latency", help="single-iteration latency")
-    p.add_argument("graph")
-    p.set_defaults(func=cmd_latency)
-
-    p = sub.add_parser("convert", help="SDF-to-HSDF conversion")
-    p.add_argument("graph")
-    p.add_argument("--traditional", action="store_true",
-                   help="classical expansion instead of the compact conversion")
-    p.add_argument("-o", "--output", help=".json, .xml or .dot file to write")
-    p.set_defaults(func=cmd_convert)
-
-    p = sub.add_parser("abstract", help="discover and apply an abstraction")
-    p.add_argument("graph")
-    p.add_argument("--strategy", choices=("name", "structural"), default="name")
-    p.add_argument("--verify", action="store_true",
-                   help="verify conservativity (Theorem 1) numerically")
-    p.add_argument("--no-dominance", action="store_true",
-                   help="skip the Proposition-1 dominance check (large graphs)")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_abstract)
-
-    p = sub.add_parser("map", help="multiprocessor mapping sweep / analysis")
-    p.add_argument("graph")
-    p.add_argument("--processors", type=int, default=0,
-                   help="analyse one greedy mapping at this processor count")
-    p.add_argument("--max-processors", type=int, default=4,
-                   help="sweep 1..N processors (default 4)")
-    p.set_defaults(func=cmd_map)
-
-    p = sub.add_parser("csdf", help="analyse a cyclo-static (CSDF) JSON graph")
-    p.add_argument("graph")
-    p.add_argument("-o", "--output",
-                   help="write the compact HSDF equivalent (.json/.xml/.dot)")
-    p.set_defaults(func=cmd_csdf)
-
-    p = sub.add_parser(
-        "lint", help="static analysis: structured diagnostics (text/json/sarif)"
-    )
-    p.add_argument("graphs", nargs="*", metavar="graph",
-                   help="graph files or builtin:<name> specs")
-    p.add_argument("--registry", action="store_true",
-                   help="also lint every Table-1 registry graph")
-    p.add_argument("--csdf", action="store_true",
-                   help="treat the inputs as CSDF JSON graphs")
-    p.add_argument("--format", choices=("text", "json", "sarif"),
-                   default="text", help="output format (default text)")
-    p.add_argument("--fail-on", dest="fail_on",
-                   choices=("error", "warning", "never"), default="error",
-                   help="exit 2 on errors; 'warning' also exits 1 on "
-                        "warnings-only; 'never' always exits 0")
-    p.add_argument("--select", metavar="CODES",
-                   help="comma-separated rule codes to run (default: all)")
-    p.add_argument("--ignore", metavar="CODES",
-                   help="comma-separated rule codes to suppress")
-    p.add_argument("--baseline", metavar="FILE",
-                   help="subtract the accepted findings in this baseline file")
-    p.add_argument("--write-baseline", dest="write_baseline", metavar="FILE",
-                   help="write the current findings as a new baseline")
-    p.add_argument("--config", metavar="FILE",
-                   help="lint config (default: ./.reprolint.json when present)")
-    p.add_argument("-o", "--output", help="write the report to a file")
-    _add_observability_args(p)
-    p.set_defaults(func=cmd_lint)
-
-    p = sub.add_parser(
-        "devlint",
-        help="source-level invariant analyzer over the project's own code",
-    )
-    p.add_argument("paths", nargs="*", metavar="path",
-                   help="files or directories to analyze (default: src/repro)")
-    p.add_argument("--format", choices=("text", "json", "sarif"),
-                   default="text", help="output format (default text)")
-    p.add_argument("--fail-on", dest="fail_on",
-                   choices=("error", "warning", "never"), default="error",
-                   help="exit 2 on errors; 'warning' also exits 1 on "
-                        "warnings-only; 'never' always exits 0")
-    p.add_argument("--select", metavar="CODES",
-                   help="comma-separated rule codes to run (default: all)")
-    p.add_argument("--ignore", metavar="CODES",
-                   help="comma-separated rule codes to suppress")
-    p.add_argument("--baseline", metavar="FILE",
-                   help="subtract the accepted findings in this baseline file")
-    p.add_argument("--write-baseline", dest="write_baseline", metavar="FILE",
-                   help="write the current findings as a new baseline")
-    p.add_argument("--config", metavar="FILE",
-                   help="devlint config (default: ./.reprodevlint.json "
-                        "when present)")
-    p.add_argument("-o", "--output", help="write the report to a file")
-    _add_observability_args(p)
-    p.set_defaults(func=cmd_devlint)
-
-    p = sub.add_parser("gantt", help="ASCII Gantt chart of self-timed execution")
-    p.add_argument("graph")
-    p.add_argument("--horizon", type=int, default=50,
-                   help="simulate until this time (default 50)")
-    p.add_argument("--width", type=int, default=100)
-    p.set_defaults(func=cmd_gantt)
-
-    p = sub.add_parser("bottleneck", help="locate the critical cycle")
-    p.add_argument("graph")
-    p.set_defaults(func=cmd_bottleneck)
-
-    p = sub.add_parser("schedule", help="rate-optimal static periodic schedule")
-    p.add_argument("graph")
-    p.set_defaults(func=cmd_schedule)
-
-    p = sub.add_parser("dot", help="Graphviz DOT export")
-    p.add_argument("graph")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_dot)
-
-    p = sub.add_parser("table1", help="regenerate Table 1 of the paper")
-    p.set_defaults(func=cmd_table1)
-
-    p = sub.add_parser("builtins", help="list built-in graphs")
-    p.set_defaults(func=cmd_builtins)
-
+    scopes = {"": parser.add_subparsers(dest="command", required=True)}
+    for name, handler, help_text, example, options in COMMANDS:
+        scope, _, leaf = name.rpartition(" ")
+        if scope not in scopes:
+            group = scopes[""].add_parser(scope, help=GROUPS[scope])
+            scopes[scope] = group.add_subparsers(dest="action", required=True)
+        command = scopes[scope].add_parser(
+            leaf, help=help_text, description=help_text,
+            epilog=f"example: repro {example}")
+        for option in options:
+            flags, kwargs = OPTIONS[option] if isinstance(option, str) else option
+            command.add_argument(*flags, **kwargs)
+        command.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; exit codes are tabled in ``docs/usage.md``."""
+    args = build_parser().parse_args(argv)
     try:
         with _observe(args):
             return args.func(args)
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
     except BrokenPipeError:
         # Output piped into a consumer that closed early (e.g. `head`).
         return 0
+    except AnalysisTimeout as error:
+        progress = ", ".join(f"{k}={v}" for k, v in error.progress.items())
+        print(f"error: analysis timed out after {error.elapsed:.2f}s "
+              f"in stage {error.stage or '?'}"
+              + (f" ({progress})" if progress else ""), file=sys.stderr)
+        print("hint: re-run with --fallback for a conservative bound "
+              "(Theorem 1)", file=sys.stderr)
+        return 3
+    except (ReproError, OSError, ValueError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

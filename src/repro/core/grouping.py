@@ -30,6 +30,10 @@ from repro.obs.provenance import record_step
 from repro.sdf.graph import SDFGraph
 from repro.sdf.repetition import repetition_vector
 
+#: Grouping strategies of :func:`discover_abstraction`; the first is the
+#: default.
+STRATEGIES = ("name", "structural")
+
 _TRAILING_INT = re.compile(r"^(?P<stem>.*?)(?P<index>\d+)$")
 
 
@@ -142,7 +146,9 @@ def discover_abstraction(
     elif strategy == "structural":
         groups = _structural_groups(graph)
     else:
-        raise ValueError(f"unknown strategy {strategy!r}; use 'name' or 'structural'")
+        raise ValueError(
+            f"unknown strategy {strategy!r}; use one of {', '.join(STRATEGIES)}"
+        )
     groups = _split_by_repetition(graph, groups)
 
     if all(len(members) < min_group_size for members in groups.values()):

@@ -1,6 +1,6 @@
 """Pluggable static analysis (lint) for dataflow models.
 
-The engine that subsumed ``repro.sdf.validation``: a rule registry with
+The library's model linter: a rule registry with
 per-rule metadata, structured :class:`Diagnostic` findings with graph
 anchors and fix-it suggestions, a driver that runs rules in dependency
 order over one memoized analysis context, severity/suppression/baseline

@@ -2,12 +2,13 @@
 
 Every rule is a small generator over a context (see
 :mod:`repro.lint.context`); the registry decorator carries its metadata.
-The inventory subsumes the seven historical ``validate_graph`` checks
-and adds the paper-aware safety rules: the equal-repetition precondition
-of the abstraction (Definitions 3–4), the size-blowup guard that
-recommends the symbolic Algorithm-1 conversion path, GCD-reducible
-rates, zero-token self-loops, CSDF phase hygiene and FSM-SADF scenario
-reachability.
+The inventory holds the basic model checks (empty, disconnected,
+inconsistent, deadlock, unbounded-actor, zero-time-cycle,
+unread-tokens) and adds the paper-aware safety rules: the
+equal-repetition precondition of the abstraction (Definitions 3–4),
+the size-blowup guard that recommends the symbolic Algorithm-1
+conversion path, GCD-reducible rates, zero-token self-loops, CSDF phase
+hygiene and FSM-SADF scenario reachability.
 
 Rules are deliberately independent: a rule that does not require
 consistency still runs (and reports) on an inconsistent graph.

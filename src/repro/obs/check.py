@@ -449,7 +449,10 @@ def validate_sarif(data: Any) -> Dict[str, int]:
                       f"ruleIndex {ri!r} out of range")
                 _need(rules[ri]["id"] == result["ruleId"], rwhere,
                       "ruleIndex does not point at ruleId")
-            for lindex, location in enumerate(result.get("locations", [])):
+            locations = result.get("locations", [])
+            _need(isinstance(locations, list), rwhere,
+                  "'locations' must be an array")
+            for lindex, location in enumerate(locations):
                 lwhere = f"{rwhere}.locations[{lindex}]"
                 _need(isinstance(location, dict), lwhere, "must be an object")
                 physical = location.get("physicalLocation")
@@ -772,7 +775,11 @@ def validate_regress(data: Any) -> Dict[str, int]:
           f"'entries' ({data.get('entries')!r}) must equal the number of "
           f"results ({len(results)})")
     _counts_match(data, "regress", results, "verdict", _REGRESS_VERDICTS)
-    _need(sorted(data.get("regressed", [])) == sorted(regressed), "regress",
+    listed = data.get("regressed", [])
+    _need(isinstance(listed, list)
+          and all(isinstance(pair, str) for pair in listed), "regress",
+          "'regressed' must be an array of strings")
+    _need(sorted(listed) == sorted(regressed), "regress",
           "'regressed' must list exactly the regressed suite/entry pairs")
     return {"entries": len(results), "regressed": len(regressed)}
 

@@ -16,7 +16,6 @@ from repro.sdf.transform import traditional_hsdf
 from repro.sdf.compose import disjoint_union, feedback, renamed, serial
 from repro.sdf.dot import to_dot
 from repro.sdf.gantt import gantt
-from repro.sdf.validation import validate_graph
 
 __all__ = [
     "Actor",
@@ -37,5 +36,4 @@ __all__ = [
     "serial",
     "to_dot",
     "gantt",
-    "validate_graph",
 ]

@@ -1,12 +1,20 @@
 """The ``python -m repro`` command-line interface."""
 
+import contextlib
+import io
 import json
+import pathlib
+import re
+import shlex
 
 import pytest
 
-from repro.cli import BUILTIN_GRAPHS, load_graph, main
+from conftest import ticking_deadlines
+from repro.cli import BUILTIN_GRAPHS, COMMANDS, build_parser, load_graph, main
 from repro.sdf.io import to_json
 from repro.graphs.examples import figure3_graph
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -188,7 +196,9 @@ class TestBatchCommand:
         assert "no graphs" in capsys.readouterr().err
 
     def test_batch_zero_workers_clean_error(self, capsys):
-        assert main(["batch", "builtin:figure3", "--workers", "0"]) == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["batch", "builtin:figure3", "--workers", "0"])
+        assert excinfo.value.code == 2
         assert "--workers" in capsys.readouterr().err
 
 
@@ -352,3 +362,175 @@ class TestCacheCommand:
         capsys.readouterr()
         assert main(["cache", "stats", "--store", str(store)]) == 0
         assert "records:     0" in capsys.readouterr().out
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exit:
+        return exit.code
+
+
+#: ``(argv, exit code, stderr fragments)``: each of these once ended in
+#: a traceback or did the wrong thing.
+BAD_INPUT = [
+    (["map", "builtin:figure3", "--max-processors", "0"], 2,
+     ["--max-processors"]),
+    (["gantt", "builtin:figure1", "--width", "0"], 2, ["--width"]),
+    (["throughput", "builtin:figure3", "--timeout", "-1"], 2,
+     ["--timeout"]),
+    (["explain", "builtin:figure3", "--timeout", "-1"], 2, ["--timeout"]),
+    (["throughput", "builtin:figure3", "--fallback", "--timeout", "0"],
+     2, ["--timeout"]),
+    (["cache", "compact", "--store", "store", "--max-bytes", "-5"], 2,
+     ["--max-bytes"]),
+    (["batch", "builtin:figure3", "--inject", "garbage"], 2,
+     ["--inject", "bad fault spec 'garbage'"]),
+    (["throughput", "builtin:figure3", "--timeout", "0"], 2,
+     ["--timeout"]),
+    (["batch", "builtin:figure3", "--retries", "-1"], 2, ["--retries"]),
+    (["obs", "regress", "--window", "0"], 2, ["--window"]),
+    (["obs", "regress", "--threshold", "-1"], 2, ["--threshold"]),
+    (["throughput", "."], 1, ["error:", "directory"]),
+]
+
+
+class TestBadInput:
+    """A bad value is a usage error (exit 2, argparse's usage message
+    naming the flag) before any work starts, and an unreadable input is
+    a plain ``error:`` line (exit 1)."""
+
+    @pytest.mark.parametrize("argv, code, fragments", BAD_INPUT,
+                             ids=[" ".join(case[0]) for case in BAD_INPUT])
+    def test_clean_exit(self, argv, code, fragments, capsys):
+        assert _exit_code(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        for fragment in fragments:
+            assert fragment in captured.err
+        if code == 2:
+            assert captured.err.startswith("usage: repro")
+
+
+class TestTimeouts:
+    """The exit-3 path, on a ticking clock: a 1 ms budget expires at the
+    first deadline poll however fast the host is."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        # A warm process-global cache would answer the fallback chain
+        # from an earlier exact result instead of timing out.
+        from repro.analysis.cache import AnalysisCache, set_default_cache
+
+        previous = set_default_cache(AnalysisCache())
+        yield
+        set_default_cache(previous)
+
+    def _run(self, capsys, *argv):
+        with ticking_deadlines():
+            code = main([*argv, "builtin:mp3-playback", "--timeout", "0.001"])
+        return code, capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["throughput", "explain"])
+    def test_timeout_names_stage_progress_and_fallback(self, command, capsys):
+        code, captured = self._run(capsys, command, "--method", "hsdf")
+        assert code == 3
+        assert "in stage traditional-hsdf (" in captured.err
+        assert re.search(r"\(copies=\d+, copies_total=10601", captured.err)
+        assert "hint: re-run with --fallback" in captured.err
+
+    def test_fallback_lists_each_tier_timeout(self, capsys):
+        from repro.analysis.resilience import DEFAULT_STAGES
+
+        code, captured = self._run(capsys, "throughput", "--fallback")
+        assert code == 3
+        lines = captured.out.splitlines()
+        assert lines[0] == "mp3-playback: timed-out"
+        assert [line.split(":")[0].strip() for line in lines[1:]] \
+            == list(DEFAULT_STAGES)
+        assert all(": timeout (" in line and "AnalysisTimeout" in line
+                   for line in lines[1:])
+
+
+#: Every text that shows ``python -m repro`` invocations.
+DOCUMENTS = (
+    "README.md", "DESIGN.md", "EXPERIMENTS.md", "benchmarks/README.md",
+    *sorted(str(p.relative_to(REPO)) for p in (REPO / "docs").glob("*.md")),
+    ".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md",
+)
+
+_FENCE = re.compile(r"^\s*```.*?^\s*```", re.M | re.S)
+_CODE_SPAN = re.compile(r"`[^`]+`")
+_INVOCATION = re.compile(r"python3? (?:-X \S+ )*-m repro(?![\w.])([^`\n]*)")
+_SHELL = {"|", "||", "&&", ";"}
+
+
+def documented_invocations(document):
+    """The argv of every ``python -m repro`` invocation in ``document``:
+    shell line continuations and markdown code spans that wrap a line are
+    joined, and each command line ends at a comment, pipe, list operator,
+    redirection or command substitution.  A bare ``python -m repro``
+    names the program and is skipped."""
+    text = re.sub(r"\\\n\s*", " ", (REPO / document).read_text())
+    if document.endswith(".md"):
+        pieces, last = [], 0
+        for fence in [*_FENCE.finditer(text), None]:
+            prose = text[last:fence.start() if fence else len(text)]
+            pieces.append(_CODE_SPAN.sub(
+                lambda span: span.group(0).replace("\n", " "), prose))
+            if fence:
+                pieces.append(fence.group(0))
+                last = fence.end()
+        text = "".join(pieces)
+    for match in _INVOCATION.finditer(text):
+        argv = []
+        for token in shlex.split(match.group(1), comments=True):
+            if token in _SHELL or token.startswith((">", "2>", "$(")):
+                break
+            argv.append(token)
+        if argv:
+            yield argv
+
+
+def _parses(argv):
+    """None when ``argv`` parses (``--version`` exits 0), else argparse's
+    complaint."""
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            build_parser().parse_args(argv)
+    except SystemExit as exit:
+        if exit.code != 0:
+            return err.getvalue().strip().splitlines()[-1]
+    return None
+
+
+class TestCommandTable:
+    """The docs, the CI workflow and the verify skill stay in step with
+    the one parser: every invocation they show parses."""
+
+    @pytest.mark.parametrize("document", DOCUMENTS)
+    def test_documented_invocations_parse(self, document):
+        invocations = list(documented_invocations(document))
+        failures = [(argv, _parses(argv)) for argv in invocations]
+        assert [f for f in failures if f[1] is not None] == []
+
+    def test_the_documents_show_invocations(self):
+        found = sum(len(list(documented_invocations(d))) for d in DOCUMENTS)
+        assert found >= 100
+
+    def test_every_example_parses(self):
+        for name, _, _, example, _ in COMMANDS:
+            argv = shlex.split(example)
+            assert _parses(argv) is None, example
+            assert " ".join(argv[:len(name.split())]) == name
+
+    def test_help_lists_every_command_with_its_example(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        out = capsys.readouterr().out
+        for _, _, _, example, _ in COMMANDS:
+            assert f"repro {example}\n" in out
+        assert "docs/usage.md#exit-codes" in out

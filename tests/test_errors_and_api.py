@@ -38,6 +38,32 @@ class TestHierarchy:
             raise errors.NotAbstractableError("nope")
 
 
+class TestUnknownChoices:
+    """An unknown method, backend or strategy is refused with the list
+    the library owns, the same list the CLI offers as choices."""
+
+    def test_unknown_method(self):
+        from repro.analysis.throughput import METHODS
+        from repro.graphs.examples import figure3_graph
+
+        with pytest.raises(ValueError, match=", ".join(METHODS)):
+            repro.throughput(figure3_graph(), method="nope")
+
+    def test_unknown_backend(self):
+        from repro.analysis.batch import BACKENDS, run_batch
+        from repro.graphs.examples import figure3_graph
+
+        with pytest.raises(ValueError, match=", ".join(BACKENDS)):
+            run_batch([figure3_graph()], backend="nope")
+
+    def test_unknown_strategy(self):
+        from repro.core.grouping import STRATEGIES
+        from repro.graphs.examples import section41_example
+
+        with pytest.raises(ValueError, match=", ".join(STRATEGIES)):
+            repro.discover_abstraction(section41_example(), strategy="nope")
+
+
 class TestPublicApi:
     def test_version(self):
         assert repro.__version__

@@ -211,3 +211,19 @@ class TestCSDF:
         path.write_text(csdf_to_json(g))
         assert main(["lint", "--csdf", str(path)]) == 2
         assert "csdf-inconsistent" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("with_spec", [True, False],
+                             ids=["spec", "no-spec"])
+    def test_registry_is_a_usage_error(self, with_spec, tmp_path, capsys):
+        # The registry holds SDF graphs: with --csdf it was silently
+        # ignored (with a spec) or blamed for a missing spec (without).
+        g = CSDFGraph("one")
+        g.add_actor("a", [1])
+        g.add_edge("a", "a", production=[1], consumption=[1], tokens=1)
+        path = tmp_path / "one.json"
+        path.write_text(csdf_to_json(g))
+        specs = [str(path)] if with_spec else []
+        assert main(["lint", "--csdf", "--registry", *specs]) == 2
+        captured = capsys.readouterr()
+        assert "--registry" in captured.err and "--csdf" in captured.err
+        assert captured.out == ""

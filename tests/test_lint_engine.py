@@ -93,6 +93,15 @@ class TestDriver:
         )
         assert ranks == sorted(ranks)
 
+    def test_noisy_graph_has_exactly_its_three_warnings(self):
+        report = run_lint(noisy(), cache=AnalysisCache())
+        assert set(report.codes()) == {
+            "disconnected",
+            "unread-tokens",
+            "zero-time-cycle",
+        }
+        assert report.ok  # warnings only
+
     def test_findings_are_stamped_with_graph_name(self):
         report = run_lint(noisy(), cache=AnalysisCache())
         assert all(f.graph == "noisy" for f in report.findings)
@@ -238,16 +247,3 @@ class TestAnalysisHooks:
         )
         abstracted = abstract_graph(g, safe)
         assert abstracted.actor_count() == 1
-
-
-class TestValidationShim:
-    def test_validate_graph_mirrors_lint(self):
-        from repro.sdf.validation import validate_graph
-
-        report = validate_graph(noisy())
-        assert {f.code for f in report.findings} == {
-            "disconnected",
-            "unread-tokens",
-            "zero-time-cycle",
-        }
-        assert report.ok  # warnings only

@@ -268,6 +268,19 @@ class TestCheckFile:
         assert "FAIL" in captured.err and "approximate" in captured.err
         assert main([]) == 2
 
+    def test_main_goes_on_past_a_malformed_sarif_log(self, tmp_path, capsys):
+        doc = _sarif()
+        doc["runs"][0]["results"][0]["locations"] = 3
+        bad = tmp_path / "bad.sarif"
+        bad.write_text(json.dumps(doc))
+        good = tmp_path / "ok.sarif"
+        good.write_text(json.dumps(_sarif()))
+        assert main([str(bad), str(good)]) == 1
+        captured = capsys.readouterr()
+        assert "FAIL" in captured.err and "'locations' must be an array" \
+            in captured.err
+        assert f"ok   {good}" in captured.out
+
 
 # ----------------------------------------------------------------------
 # SARIF logs
@@ -664,6 +677,12 @@ class TestRegressValidator:
         doc = self._report(tmp_path)
         doc["regressed"] = ["demo/t"]
         with pytest.raises(SchemaError, match="regressed"):
+            check.validate_regress(doc)
+
+    def test_regressed_list_of_mixed_types_is_a_schema_error(self, tmp_path):
+        doc = self._report(tmp_path)
+        doc["regressed"] = ["demo/t", 3]
+        with pytest.raises(SchemaError, match="array of strings"):
             check.validate_regress(doc)
 
     def test_unknown_verdict(self, tmp_path):

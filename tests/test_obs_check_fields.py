@@ -8,6 +8,11 @@ missing key, a null where null is not allowed, ``""``, ``-1``, ``1.5``,
 ``True``, ``[]``, ``{}`` and a string where a number belongs.  The
 validator must reject the document with a message that starts with that
 field's location.
+
+A second, table-blind pass swaps any field at any depth for a value of
+each other JSON type: whatever the validator makes of it, only
+:class:`~repro.obs.check.SchemaError` may escape, so ``repro obs check``
+reports ``FAIL`` for that file and goes on to the next.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from repro.obs.regress import evaluate_history
 from test_obs_check import (
     _bench,
     _provenance,
+    _sarif,
     _store_stats_doc,
     _store_verify_doc,
     _trace_summary,
@@ -181,5 +187,64 @@ def test_every_refused_value_is_rejected_at_its_field(schema, tmp_path):
                 escaped.append(f"{location} {key}={shown}: {error}")
         else:
             escaped.append(f"{location} {key}={shown}: accepted")
+    assert count > 0
+    assert escaped == []
+
+
+#: One value of each JSON type: null, boolean, number, string, array, object.
+JSON_TYPES = (None, True, 1, "x", [], {})
+
+
+def _json_type(value):
+    if isinstance(value, bool):
+        return bool
+    return (int, float) if isinstance(value, (int, float)) else type(value)
+
+
+def _field_paths(doc, path=()):
+    """Every field of ``doc`` at any depth; arrays contribute their
+    first three items."""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc[:3]) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield path + (key,), value
+        yield from _field_paths(value, path + (key,))
+
+
+def type_swaps(base):
+    """``(path, value, document)`` with the field at ``path`` swapped for
+    ``value``, a value of another JSON type."""
+    for path, current in _field_paths(base):
+        for value in JSON_TYPES:
+            if _json_type(value) == _json_type(current):
+                continue
+            doc = copy.deepcopy(base)
+            target = doc
+            for step in path[:-1]:
+                target = target[step]
+            target[path[-1]] = copy.deepcopy(value)
+            yield path, value, doc
+
+
+@pytest.mark.parametrize("schema", sorted(check.VALIDATORS) + ["sarif"])
+def test_type_swaps_raise_only_schema_errors(schema, tmp_path):
+    if schema == "sarif":
+        validate, bases = check.validate_sarif, [_sarif()]
+    else:
+        validate = check.VALIDATORS[schema]
+        bases = [base for base, _ in corpus(tmp_path)[schema]]
+    escaped = []
+    count = 0
+    for base in bases:
+        validate(copy.deepcopy(base))  # the base is valid
+        for path, value, doc in type_swaps(base):
+            count += 1
+            try:
+                validate(doc)
+            except check.SchemaError:
+                pass
+            except Exception as error:  # any other type is the finding
+                escaped.append(f"{path} = {value!r}: "
+                               f"{type(error).__name__}: {error}")
     assert count > 0
     assert escaped == []

@@ -1,15 +1,16 @@
-"""The model linter."""
+"""The model linter's verdicts on paper, registry and broken graphs,
+through :func:`repro.lint.run_lint`."""
 
 import pytest
 
 from repro.graphs import TABLE1_CASES
 from repro.graphs.examples import figure3_graph, section41_example
 from repro.sdf.graph import SDFGraph
-from repro.sdf.validation import validate_graph
+from repro.lint import run_lint
 
 
 def codes(report):
-    return {f.code for f in report.findings}
+    return set(report.codes())
 
 
 class TestCleanGraphs:
@@ -17,20 +18,20 @@ class TestCleanGraphs:
         "factory", [figure3_graph, section41_example], ids=["fig3", "fig1"]
     )
     def test_paper_graphs_clean(self, factory):
-        report = validate_graph(factory())
+        report = run_lint(factory())
         assert report.ok
         assert not report.findings
         assert str(report) == "graph is clean"
 
     @pytest.mark.parametrize("case", TABLE1_CASES, ids=lambda c: c.name)
     def test_benchmarks_have_no_errors(self, case):
-        report = validate_graph(case.build())
+        report = run_lint(case.build())
         assert report.ok, str(report)
 
 
 class TestFindings:
     def test_empty_graph(self):
-        report = validate_graph(SDFGraph())
+        report = run_lint(SDFGraph())
         assert codes(report) == {"empty"}
         assert report.ok  # a warning, not an error
 
@@ -40,14 +41,14 @@ class TestFindings:
         g.add_actor("b", 1)
         g.add_edge("a", "a", tokens=1)
         g.add_edge("b", "b", tokens=1)
-        assert "disconnected" in codes(validate_graph(g))
+        assert "disconnected" in codes(run_lint(g))
 
     def test_inconsistent_is_error(self):
         g = SDFGraph()
         g.add_actors("a", "b")
         g.add_edge("a", "b", production=2, consumption=1)
         g.add_edge("b", "a", production=1, consumption=1)
-        report = validate_graph(g)
+        report = run_lint(g)
         assert not report.ok
         assert codes(report) == {"inconsistent"}
 
@@ -59,7 +60,7 @@ class TestFindings:
         g.add_edge("a", "b", production=2, consumption=1)
         g.add_edge("b", "a", production=1, consumption=1)
         g.add_edge("src", "a")  # src never blocks: no incoming edge
-        report = validate_graph(g)
+        report = run_lint(g)
         assert not report.ok
         assert {"inconsistent", "unbounded-actor"} <= codes(report)
 
@@ -68,7 +69,7 @@ class TestFindings:
         g.add_actors("a", "b")
         g.add_edge("a", "b")
         g.add_edge("b", "a")
-        report = validate_graph(g)
+        report = run_lint(g)
         assert not report.ok
         assert "deadlock" in codes(report)
 
@@ -78,7 +79,7 @@ class TestFindings:
         g.add_actor("dst", 1)
         g.add_edge("src", "dst")
         g.add_edge("dst", "dst", tokens=1)
-        report = validate_graph(g)
+        report = run_lint(g)
         assert report.ok
         assert "unbounded-actor" in codes(report)
 
@@ -86,7 +87,7 @@ class TestFindings:
         g = SDFGraph()
         g.add_actor("z", 0)
         g.add_edge("z", "z", tokens=1)
-        report = validate_graph(g)
+        report = run_lint(g)
         assert "zero-time-cycle" in codes(report)
 
     def test_zero_time_actors_without_token_cycle_are_fine(self):
@@ -95,14 +96,14 @@ class TestFindings:
         g.add_actor("a", 3)
         g.add_edge("a", "a", tokens=1)
         g.add_edge("a", "z")
-        report = validate_graph(g)
+        report = run_lint(g)
         assert "zero-time-cycle" not in codes(report)
 
     def test_unread_tokens_warning(self):
         g = SDFGraph()
         g.add_actor("a", 1)
         g.add_edge("a", "a", tokens=5)  # one iteration consumes 1
-        report = validate_graph(g)
+        report = run_lint(g)
         assert "unread-tokens" in codes(report)
 
     def test_report_rendering(self):
@@ -110,5 +111,5 @@ class TestFindings:
         g.add_actors("a", "b")
         g.add_edge("a", "b")
         g.add_edge("b", "a")
-        text = str(validate_graph(g))
+        text = str(run_lint(g))
         assert "[error] deadlock" in text
