@@ -161,6 +161,17 @@ def _dispatch_kernel(info, method, numpy_call, exact_call):
     return exact_call()
 
 
+def _eigenvalue_numpy(iteration, deadline):
+    """The numpy eigenvalue kernel, on the block walk's array as it is
+    when the walk left one, else on the decoded matrix."""
+    if iteration.scaled_matrix is None:
+        return critical_cycle(iteration.matrix, deadline=deadline,
+                              kernel="numpy")
+    from repro.kernels.maxplus import critical_cycle_array
+
+    return critical_cycle_array(*iteration.scaled_matrix, deadline=deadline)
+
+
 def throughput(
     graph: SDFGraph,
     method: str = "symbolic",
@@ -278,11 +289,10 @@ def _throughput(graph, method, precheck, deadline, witness, info=None):
             # the selected kernel, and the result still reports the trip.
             info["used"] = info["selected"]
             with span("mcm-eigenvalue",
-                      matrix_order=iteration.matrix.nrows) as mcm_span:
+                      matrix_order=iteration.token_count) as mcm_span:
                 mcm = _dispatch_kernel(
                     info, method,
-                    lambda: critical_cycle(
-                        iteration.matrix, deadline=deadline, kernel="numpy"),
+                    lambda: _eigenvalue_numpy(iteration, deadline),
                     lambda: critical_cycle(
                         iteration.matrix, deadline=deadline, kernel="exact"),
                 )

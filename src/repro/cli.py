@@ -140,16 +140,32 @@ def cmd_info(args) -> int:
     return 0
 
 
+def _method(args, *policy_flags) -> str:
+    """``--method``, or its default; with a policy flag set (the policy
+    runs its own tiers) an explicit ``--method`` is a usage error."""
+    if args.method is not None:
+        for flag in policy_flags:
+            if getattr(args, flag.lstrip("-")):
+                args.parser.error(f"argument --method: not allowed with "
+                                  f"argument {flag}")
+    return args.method or METHODS[0]
+
+
 def cmd_throughput(args) -> int:
+    method = _method(args, "--fallback")
     g = load_graph(args.graph)
     if args.fallback:
         from repro.analysis.resilience import analyse_with_policy
 
+        if args.lint:
+            from repro.lint.engine import ensure_lint_clean
+
+            ensure_lint_clean(g)
         outcome = analyse_with_policy(g, timeout=args.timeout,
                                       kernel=args.kernel)
         print(outcome.describe())
         return 3 if outcome.status == "timed-out" else 0
-    result = throughput(g, method=args.method, precheck=args.lint,
+    result = throughput(g, method=method, precheck=args.lint,
                         deadline=_deadline(args), kernel=args.kernel)
     if result.unbounded:
         print("throughput: unbounded (no recurrent timing constraint)")
@@ -165,6 +181,7 @@ def cmd_explain(args) -> int:
     from repro.obs.report import render_html, render_text, witness_highlights
     from repro.obs.trace import Tracer
 
+    method = _method(args, "--fallback", "--stages")
     g = load_graph(args.graph)
     timed_out = False
     tracer = Tracer()  # spans feed the HTML timeline
@@ -180,7 +197,7 @@ def cmd_explain(args) -> int:
             record = outcome.record
             timed_out = outcome.status == "timed-out"
         else:
-            record = throughput(g, method=args.method, deadline=_deadline(args),
+            record = throughput(g, method=method, deadline=_deadline(args),
                                 kernel=args.kernel).provenance
 
     print(render_text(record, graph=g))
@@ -233,7 +250,7 @@ def cmd_batch(args) -> int:
     report = run_batch(
         graphs,
         analyses=tuple(args.analysis),
-        method=args.method,
+        method=_method(args),
         backend=args.backend,
         workers=args.workers,
         cache=cache,
@@ -739,8 +756,11 @@ OPTIONS = {
                              "help": "graph files or builtin:<name> specs"}),
     "registry": (("--registry",), {"action": "store_true",
                                    "help": "include every Table-1 registry graph"}),
-    "method": (("--method",), {"choices": METHODS, "default": METHODS[0],
-                               "help": "throughput back-end (default %(default)s)"}),
+    # No parser default: the handlers tell an explicit --method apart.
+    "method": (("--method",), {"choices": METHODS,
+                               "help": f"throughput back-end (default "
+                                       f"{METHODS[0]}; not with --fallback "
+                                       f"or --stages)"}),
     "kernel": (("--kernel",), {
         "choices": KERNELS, "default": KERNELS[0],
         "help": "compute kernel: numpy (vectorized, exact-certified), exact "
@@ -1065,7 +1085,7 @@ def build_parser() -> argparse.ArgumentParser:
         for option in options:
             flags, kwargs = OPTIONS[option] if isinstance(option, str) else option
             command.add_argument(*flags, **kwargs)
-        command.set_defaults(func=handler)
+        command.set_defaults(func=handler, parser=command)
     return parser
 
 

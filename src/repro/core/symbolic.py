@@ -64,12 +64,27 @@ class SymbolicIteration:
     symbolic start and completion stamp of each firing ``(actor, i)``)
     are built on first access from the per-run start stamps: throughput
     only needs the matrix.
+
+    The block engine hands its output over undecoded: ``scaled_matrix``
+    is the matrix as ``(array, scale)`` — integers in a float64 array,
+    ε as ``-inf``, ``M = array / scale`` — which the eigenvalue kernel
+    takes as it is, and ``matrix`` is decoded from it on first access.
+    ``scaled_matrix`` is ``None`` after the exact walk and in unpickled
+    copies, which carry plain entry tuples.
     """
 
-    def __init__(self, matrix: MaxPlusMatrix, token_ids: Tuple[TokenId, ...],
+    scaled_matrix = None
+
+    def __init__(self, matrix, token_ids: Tuple[TokenId, ...],
                  runs: Sequence[Tuple[str, int]], starts: list,
                  times: Dict[str, object], decode=None):
-        self.matrix = matrix
+        # ``decode`` (the block engine's decoder) marks ``matrix`` and
+        # ``starts`` as engine output: a scaled pair and per-run blocks.
+        if decode is None:
+            self.matrix = matrix
+        else:
+            self.scaled_matrix = matrix
+            self._decode = decode
         self.token_ids = token_ids
         self.runs = tuple(runs)
         #: Per run, its ``k`` start stamps, paired with the decoder that
@@ -79,6 +94,11 @@ class SymbolicIteration:
         self._starts = (starts, decode)
         self._times = times
 
+    @cached_property
+    def matrix(self) -> MaxPlusMatrix:
+        return MaxPlusMatrix._trusted(
+            self._decode(self.scaled_matrix[0]), self.token_count)
+
     def _start_rows(self) -> list:
         starts, decode = self._starts
         if decode is not None:
@@ -87,13 +107,14 @@ class SymbolicIteration:
         return starts
 
     def __getstate__(self):
-        # Pickle plain entry tuples (no engine arrays) and drop the
-        # derived maps; both are rebuilt on demand after loading.
+        # Plain entry tuples only (no engine arrays), keyed in the order
+        # an exact-walk iteration's attributes take, so both engines
+        # pickle to the same bytes; the derived maps are rebuilt on
+        # demand after loading.
         self._start_rows()
-        return {
-            key: value for key, value in self.__dict__.items()
-            if key not in ("schedule", "firing_starts", "firing_completions")
-        }
+        return {"matrix": self.matrix, "token_ids": self.token_ids,
+                "runs": self.runs, "_starts": self._starts,
+                "_times": self._times}
 
     def __setstate__(self, state) -> None:
         if not {"runs", "_starts", "_times"} <= state.keys():
@@ -241,7 +262,7 @@ def symbolic_iteration(
         from repro.kernels.symbolic import block_walk
 
         try:
-            rows, starts, decode = block_walk(
+            matrix, starts, decode = block_walk(
                 graph, runs, len(token_ids), deadline=deadline)
         except NumericalGuardError:
             if kernel == "numpy":
@@ -249,6 +270,7 @@ def symbolic_iteration(
             backend = "exact"
     if backend == "exact":
         rows, starts = _exact_walk(graph, runs, token_ids, total, deadline)
+        matrix = MaxPlusMatrix._trusted(rows, len(token_ids))
 
     record_step(
         "symbolic-conversion",
@@ -257,7 +279,7 @@ def symbolic_iteration(
         firings=total,
     )
     return SymbolicIteration(
-        matrix=MaxPlusMatrix._trusted(rows, len(token_ids)),
+        matrix=matrix,
         token_ids=token_ids,
         runs=runs,
         starts=starts,

@@ -9,10 +9,12 @@ This package provides array-backed equivalents of the hot loops:
 * Algorithm 1's symbolic execution as one array step per schedule run
   (:func:`~repro.kernels.symbolic.block_walk`), exact by an a-priori
   ``2**53`` bound on its integer stamps;
-* the max-plus eigenvalue of the resulting iteration matrix: Karp from
-  a zero super-source over the matrix's finite entries, with an exact
-  backtrack of the critical walk and an int64 Bellman-fixpoint
-  certificate (:func:`~repro.kernels.maxplus.critical_cycle_numpy`);
+* the max-plus eigenvalue of the resulting iteration matrix, taken as
+  the walk's own array: Karp from a zero super-source over the
+  matrix's finite entries, with an exact backtrack of a candidate walk,
+  stopped at the first level whose candidate cycle passes an int64
+  Bellman-fixpoint certificate
+  (:func:`~repro.kernels.maxplus.critical_cycle_array`);
 * the self-timed state-space simulation with a vectorized enabling/
   firing step (:func:`~repro.kernels.simulation.
   simulation_throughput_numpy`).

@@ -27,8 +27,14 @@ dependency path of the executed firings; no firing occurs on it twice).
 The closed form's intermediates lie in ``[−B, B]``.  When ``B`` is below
 :data:`~repro.kernels.backend.MAX_EXACT_FLOAT_SUM` every float64 max and
 add here is exact; otherwise :class:`NumericalGuardError` is raised
-before any work and the caller uses the exact walk.  Results are decoded
-back to ints (all execution times ints) or Fractions over ``L``, so
+before any work and the caller uses the exact walk.
+
+The iteration matrix leaves the engine as the final float64 array and
+``L``: the eigenvalue kernel (:func:`repro.kernels.maxplus.
+critical_cycle_array`) runs on it as it is.  The returned decoder turns
+a block back into entry tuples of ints (all execution times ints) or
+Fractions over ``L`` — :class:`~repro.core.symbolic.SymbolicIteration`
+applies it to the matrix and the start stamps on first access — so
 matrices and stamps equal the exact walk's.
 """
 
@@ -130,9 +136,11 @@ def block_walk(graph: SDFGraph, runs: Sequence[Tuple[str, int]], size: int,
                deadline=None):
     """Execute the run schedule ``runs`` on ``size`` initial tokens.
 
-    Returns the matrix rows (entry tuples in channel order), the start
-    stamps of every run as ``(k × size)`` blocks, and the decoder that
-    turns a block into entry tuples.  Raises :class:`NumericalGuardError`
+    Returns the iteration matrix as ``(array, scale)`` — the final
+    stamps of the initial tokens in channel order, scaled to integers,
+    so the matrix is ``array / scale`` —, the start stamps of every run
+    as ``(k × size)`` blocks, and the decoder that turns a block into
+    entry tuples.  Raises :class:`NumericalGuardError`
     before any work when float64 cannot be proven exact (module
     docstring), and the exact walk's :class:`ValidationError` for an
     inadmissible or partial schedule.
@@ -208,9 +216,10 @@ def block_walk(graph: SDFGraph, runs: Sequence[Tuple[str, int]], size: int,
 
     check_whole_iteration(
         graph, {name: fifo.length for name, fifo in fifos.items()})
-    decode = partial(_decode_rows, scale=scale, integral=integral)
-    rows = [row for e in graph.edges for row in decode(fifos[e.name].rows())]
-    return rows, starts, decode
+    blocks = [fifos[e.name].rows() for e in graph.edges if e.tokens]
+    final = np.concatenate(blocks) if blocks else np.empty((0, size))
+    return ((final, scale), starts,
+            partial(_decode_rows, scale=scale, integral=integral))
 
 
 def _initial_fifos(graph: SDFGraph, size: int) -> Dict[str, _Fifo]:

@@ -117,6 +117,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _cycle_time(record: ProvenanceRecord) -> str:
+    if record.status == "timed-out":
+        return "unknown (every tier timed out)"
+    return _fmt(record.cycle_time)
+
+
 def _check(record: ProvenanceRecord, graph) -> Tuple[str, Optional[Fraction]]:
     """(verification verdict line, re-derived mean or None)."""
     if record.witness is None:
@@ -135,6 +141,8 @@ def _check(record: ProvenanceRecord, graph) -> Tuple[str, Optional[Fraction]]:
 
 
 def _status_line(record: ProvenanceRecord) -> str:
+    if record.status == "timed-out":
+        return record.status  # no tier finished: nothing ran to name
     line = f"{record.status} ({record.algorithm} via {record.method})"
     if record.status == "conservative-bound" and record.bound_phase_count:
         line += (
@@ -187,7 +195,7 @@ def render_text(record: ProvenanceRecord, graph=None) -> str:
     lines = [
         f"provenance of {record.graph} [{record.fingerprint[:16]}]",
         f"status:     {_status_line(record)}",
-        f"cycle time: {_fmt(record.cycle_time)}",
+        f"cycle time: {_cycle_time(record)}",
     ]
 
     lines.append("")
@@ -352,7 +360,7 @@ def render_html(
             [
                 ("fingerprint", record.fingerprint),
                 ("status", _status_line(record)),
-                ("cycle time", _fmt(record.cycle_time)),
+                ("cycle time", _cycle_time(record)),
                 ("schema", PROVENANCE_SCHEMA),
             ],
         ),

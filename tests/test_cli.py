@@ -392,6 +392,15 @@ BAD_INPUT = [
     (["obs", "regress", "--window", "0"], 2, ["--window"]),
     (["obs", "regress", "--threshold", "-1"], 2, ["--threshold"]),
     (["throughput", "."], 1, ["error:", "directory"]),
+    # The policy runs its own tiers: --method was silently ignored.
+    (["throughput", "builtin:figure3", "--fallback", "--method", "hsdf"], 2,
+     ["--method", "--fallback"]),
+    (["throughput", "builtin:figure3", "--method", "symbolic", "--fallback"],
+     2, ["--method", "--fallback"]),
+    (["explain", "builtin:figure3", "--fallback", "--method", "hsdf"], 2,
+     ["--method", "--fallback"]),
+    (["explain", "builtin:figure3", "--stages", "symbolic", "--method",
+      "simulation"], 2, ["--method", "--stages"]),
 ]
 
 
@@ -411,6 +420,28 @@ class TestBadInput:
             assert fragment in captured.err
         if code == 2:
             assert captured.err.startswith("usage: repro")
+
+    def test_fallback_keeps_the_lint_gate(self, tmp_path, capsys):
+        """``--lint`` under ``--fallback`` refuses a graph with an error
+        finding before the policy starts, as it does without it (the
+        policy used to analyse the graph and report its own error)."""
+        from repro.sdf.graph import SDFGraph
+
+        g = SDFGraph("inconsistent")
+        g.add_actor("A", 1)
+        g.add_actor("B", 1)
+        g.add_edge("A", "B", production=2, consumption=1)
+        g.add_edge("B", "A", tokens=1)
+        path = tmp_path / "inconsistent.json"
+        path.write_text(to_json(g))
+        errors = []
+        for extra in ([], ["--fallback"]):
+            assert _exit_code(["throughput", str(path), "--lint", *extra]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert errors[0] == errors[1]
+        assert "fails lint" in errors[0]
 
 
 class TestTimeouts:
@@ -439,6 +470,14 @@ class TestTimeouts:
         assert "in stage traditional-hsdf (" in captured.err
         assert re.search(r"\(copies=\d+, copies_total=10601", captured.err)
         assert "hint: re-run with --fallback" in captured.err
+
+    def test_explain_of_a_chain_where_every_tier_timed_out(self, capsys):
+        code, captured = self._run(capsys, "explain", "--fallback")
+        assert code == 3
+        lines = captured.out.splitlines()
+        assert lines[1] == "status:     timed-out"
+        assert lines[2] == "cycle time: unknown (every tier timed out)"
+        assert "none" not in "\n".join(lines[:3])
 
     def test_fallback_lists_each_tier_timeout(self, capsys):
         from repro.analysis.resilience import DEFAULT_STAGES

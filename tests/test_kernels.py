@@ -141,14 +141,22 @@ class TestMatrixKernel:
     def test_wrong_walk_pick_is_rejected_by_the_certificate(
             self, monkeypatch, fresh_registry):
         """A walk pick closing a non-critical cycle (a's self-loop) must
-        fail the integer certificate, never reach the caller."""
+        fail the integer certificate at every attempt — the early level
+        2 and the all-level path — and never reach the caller."""
         import repro.kernels.maxplus as kernel
 
         matrix = symbolic_iteration(_pair_sdf()).matrix
         assert matrix.rows[0][0] == 1
-        monkeypatch.setattr(kernel, "_backtrack", lambda *args: [0])
+        picks = []
+
+        def wrong_pick(levels, csr, node, level):
+            picks.append(level)
+            return [0]
+
+        monkeypatch.setattr(kernel, "_backtrack", wrong_pick)
         with pytest.raises(NumericalGuardError, match="certificate"):
             critical_cycle(matrix, kernel="numpy")
+        assert picks == [2, 3]
         result = throughput(_pair_sdf(), kernel="numpy")
         assert result.cycle_time == 6
         assert result.provenance.kernel == "exact"
