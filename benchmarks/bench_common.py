@@ -26,7 +26,8 @@ Besides the per-suite baseline file, :func:`write_bench` appends every
 run to ``benchmarks/results/history.jsonl`` (one ``repro-bench-v1``
 document per line, with a ``written`` UTC timestamp), so a bench
 trajectory accumulates across commits instead of each run overwriting
-the last.
+the last.  :func:`append_history` is the journal's one writer: the
+perfbench feed (``perfbench_feed.py``) appends through it too.
 
 Measurements that are *differences* of noisy timings (A/B overhead
 fractions) can come out negative when the true cost sits below the
@@ -49,6 +50,8 @@ from repro.obs.diff import apply_noise_floor
 __all__ = [
     "BENCH_SCHEMA",
     "HISTORY_FILE",
+    "append_history",
+    "bench_document",
     "entry",
     "host_stamp",
     "noise_floored",
@@ -112,6 +115,32 @@ def host_stamp() -> Dict[str, Optional[str]]:
     }
 
 
+def bench_document(suite: str,
+                   entries: List[Dict[str, Any]]) -> Dict[str, Any]:
+    """One host-stamped, self-validated ``repro-bench-v1`` document."""
+    doc = {
+        "schema": BENCH_SCHEMA,
+        "suite": suite,
+        "host": host_stamp(),
+        "entries": entries,
+    }
+    validate_bench(doc)  # never ship a baseline CI would reject
+    return doc
+
+
+def append_history(docs: List[Dict[str, Any]],
+                   path: Union[str, pathlib.Path] = HISTORY_FILE) -> None:
+    """Append ``docs`` to the history journal, one line each, stamped
+    with the same ``written`` UTC time."""
+    path = pathlib.Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    written = (datetime.datetime.now(datetime.timezone.utc)
+               .isoformat(timespec="seconds"))
+    with path.open("a") as handle:
+        for doc in docs:
+            handle.write(json.dumps({**doc, "written": written}) + "\n")
+
+
 def write_bench(path: Union[str, pathlib.Path], suite: str,
                 entries: List[Dict[str, Any]],
                 history: Union[bool, str, pathlib.Path] = True) -> Dict[str, Any]:
@@ -121,22 +150,8 @@ def write_bench(path: Union[str, pathlib.Path], suite: str,
     shared history journal unless ``history`` is falsy; pass a path to
     redirect the journal (tests do).
     """
-    doc = {
-        "schema": BENCH_SCHEMA,
-        "suite": suite,
-        "host": host_stamp(),
-        "entries": entries,
-    }
-    validate_bench(doc)  # never ship a baseline CI would reject
+    doc = bench_document(suite, entries)
     pathlib.Path(path).write_text(json.dumps(doc, indent=2) + "\n")
     if history:
-        history_path = HISTORY_FILE if history is True else pathlib.Path(history)
-        history_path.parent.mkdir(parents=True, exist_ok=True)
-        stamped = {
-            **doc,
-            "written": datetime.datetime.now(datetime.timezone.utc)
-            .isoformat(timespec="seconds"),
-        }
-        with history_path.open("a") as handle:
-            handle.write(json.dumps(stamped) + "\n")
+        append_history([doc], HISTORY_FILE if history is True else history)
     return doc

@@ -1,4 +1,4 @@
-"""Scalability sweeps: the quadratic-size law and analysis-cost scaling.
+"""Scalability sweeps: the quadratic-size law of the compact conversion.
 
 Two empirical laws from the paper made visible:
 
@@ -10,20 +10,10 @@ Two empirical laws from the paper made visible:
   leaves the compact conversion's size untouched.
 """
 
-import pathlib
-
-import pytest
-
-from bench_common import entry, write_bench
-from repro.analysis.batch import run_batch
-from repro.analysis.cache import AnalysisCache
-from repro.analysis.throughput import throughput
 from repro.core.hsdf_conversion import convert_to_hsdf
-from repro.graphs.synthetic import homogeneous_pipeline, regular_prefetch
+from repro.graphs.synthetic import homogeneous_pipeline
 from repro.sdf.graph import SDFGraph
 from repro.sdf.repetition import iteration_length
-
-BENCH_FILE = pathlib.Path(__file__).resolve().parent.parent / "BENCH_scalability.json"
 
 
 def multirate_pair(scale: int) -> SDFGraph:
@@ -68,53 +58,3 @@ def test_rate_sweep_leaves_compact_size_unchanged(report):
     # constant while the traditional expansion grows linearly.
     assert len(sizes) == 1
     report.save("scalability_rates")
-
-
-def test_batch_runner_on_scalability_suite(report):
-    """The whole sweep through the 4-worker batch runner: same numbers
-    as the direct calls, one shared cache, per-graph wall times."""
-    suite = [multirate_pair(scale) for scale in (2, 8, 32, 128, 512)]
-    suite += [regular_prefetch(n) for n in (16, 64)]
-    batch = run_batch(
-        suite,
-        analyses=("repetition", "throughput"),
-        backend="thread",
-        workers=4,
-        cache=AnalysisCache(),
-    )
-    assert not batch.failures
-    report("Scalability suite through the batch runner (4 thread workers)")
-    report(f"{'graph':>12} {'sum gamma':>10} {'cycle time':>11} {'time':>9}")
-    for result in batch.results:
-        gamma = sum(result.values["repetition"].values())
-        cycle = result.values["throughput"].cycle_time
-        report(f"{result.name:>12} {gamma:>10} {str(cycle):>11} "
-               f"{result.duration:>8.4f}s")
-    for g, result in zip(suite, batch.results):
-        assert result.values["throughput"].cycle_time == throughput(g).cycle_time
-    report(f"total {batch.duration:.4f}s, cache {batch.cache_stats.size} entries")
-    # Informational trend entries (no asserted floor): the regression
-    # sentinel watches them drift across commits via history.jsonl.
-    write_bench(BENCH_FILE, "scalability", [
-        entry("batch_wall_seconds", "s", batch.duration,
-              graphs=len(suite), backend="thread", workers=4),
-        entry("batch_graphs_per_second", "graphs/s",
-              len(suite) / batch.duration if batch.duration else 0.0,
-              graphs=len(suite), backend="thread", workers=4),
-    ])
-    report(f"written to {BENCH_FILE.name}")
-    report.save("scalability_batch")
-
-
-@pytest.mark.parametrize("n", [16, 64, 256])
-def test_prefetch_conversion_runtime(benchmark, n):
-    g = regular_prefetch(n)
-    conv = benchmark(convert_to_hsdf, g)
-    assert conv.within_paper_bounds()
-
-
-@pytest.mark.parametrize("scale", [8, 64, 512])
-def test_multirate_symbolic_runtime(benchmark, scale):
-    g = multirate_pair(scale)
-    result = benchmark(throughput, g, "symbolic")
-    assert not result.unbounded

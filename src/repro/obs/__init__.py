@@ -18,7 +18,7 @@ offline-benchmark claim.  Three coordinated, zero-dependency pieces:
     disabled overhead (``benchmarks/bench_obs.py``).
 
 :mod:`repro.obs.metrics`
-    A metrics registry — counters, gauges, fixed-bucket histograms —
+    A metrics registry — counters and gauges —
     unifying the previously siloed stats (cache hit/miss/eviction,
     batch retry/quarantine/timeout counts, fallback-tier outcomes, lint
     rule fires) behind one :class:`~repro.obs.metrics.MetricsRegistry`
@@ -77,7 +77,6 @@ from repro.obs.trace import (
 from repro.obs.metrics import (
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     default_registry,
     set_default_registry,
@@ -103,7 +102,6 @@ __all__ = [
     "CycleWitness",
     "FlightRecorder",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "ProvenanceRecord",
     "ReductionStep",

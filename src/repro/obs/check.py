@@ -98,7 +98,7 @@ _PROM_SAMPLE = re.compile(
     rf"^({_PROM_NAME})(\{{.*\}})? ([0-9eE+.\-]+|NaN|[+-]Inf)$"
 )
 _PROM_TYPE = re.compile(
-    rf"^# TYPE ({_PROM_NAME}) (counter|gauge|histogram|summary|untyped)$"
+    rf"^# TYPE ({_PROM_NAME}) (counter|gauge)$"
 )
 _PROM_HELP = re.compile(rf"^# HELP ({_PROM_NAME}) .*$")
 
@@ -284,7 +284,7 @@ def validate_span_jsonl(text: str) -> Dict[str, int]:
 
 def validate_prometheus_text(text: str) -> Dict[str, int]:
     """Validate Prometheus text exposition: well-formed comment/sample
-    lines, samples preceded by a TYPE, histogram series consistent."""
+    lines, every sample preceded by its TYPE."""
     typed: Dict[str, str] = {}
     samples = 0
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -307,19 +307,13 @@ def validate_prometheus_text(text: str) -> Dict[str, int]:
         match = _PROM_SAMPLE.match(line)
         _need(match is not None, where, f"malformed sample line {line!r}")
         name = match.group(1)
-        base = re.sub(r"_(bucket|sum|count)$", "", name)
-        _need(
-            name in typed or base in typed,
-            where, f"sample {name!r} has no preceding # TYPE",
-        )
+        _need(name in typed, where, f"sample {name!r} has no preceding # TYPE")
         samples += 1
     _need(samples > 0, "metrics", "no samples present")
     return {"families": len(typed), "samples": samples}
 
 
-_METRIC = {"name": STR, "type": ("counter", "gauge", "histogram"),
-           "samples": ARR}
-_HISTOGRAM_SAMPLE = {"labels": OBJ, "buckets": OBJ, "count": NUM, "sum": NUM}
+_METRIC = {"name": STR, "type": ("counter", "gauge"), "samples": ARR}
 
 
 def validate_metrics_snapshot(data: Any) -> Dict[str, int]:
@@ -327,11 +321,9 @@ def validate_metrics_snapshot(data: Any) -> Dict[str, int]:
     _fields(data, "snapshot", {"metrics": ARR}, METRICS_SCHEMA)
     samples = 0
     for where, entry in _rows(data["metrics"], "metrics", _METRIC):
-        histogram = entry["type"] == "histogram"
-        for swhere, sample in _rows(
-                entry["samples"], f"{where}.samples",
-                _HISTOGRAM_SAMPLE if histogram else {"labels": OBJ}):
-            _need(histogram or isinstance(sample.get("value"), (int, float)),
+        for swhere, sample in _rows(entry["samples"], f"{where}.samples",
+                                    {"labels": OBJ}):
+            _need(isinstance(sample.get("value"), (int, float)),
                   swhere, "needs a numeric value")
             samples += 1
     return {"families": len(data["metrics"]), "samples": samples}

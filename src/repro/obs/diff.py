@@ -103,22 +103,16 @@ def _trace_values(doc: Dict[str, Any]) -> Dict[str, Dict[str, float]]:
 
 
 def _metric_values(doc: Dict[str, Any]) -> Dict[str, Dict[str, float]]:
-    """``key -> {value}`` for a metrics snapshot.  Counters and gauges
-    contribute one key per label set; a histogram contributes its
-    ``count`` and ``sum`` as two keys (the shape a reader can act on
-    without re-deriving bucket arithmetic)."""
+    """``key -> {value}`` for a metrics snapshot: one key per metric
+    and label set."""
     out: Dict[str, Dict[str, float]] = {}
     for metric in doc.get("metrics", ()):
         name = metric["name"]
         for sample in metric.get("samples", ()):
             labels = sample.get("labels") or {}
             label_part = ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
-            base = f"{name}{{{label_part}}}" if label_part else name
-            if metric.get("type") == "histogram":
-                out[f"{base}.count"] = {"value": float(sample["count"])}
-                out[f"{base}.sum"] = {"value": float(sample["sum"])}
-            else:
-                out[base] = {"value": float(sample["value"])}
+            key = f"{name}{{{label_part}}}" if label_part else name
+            out[key] = {"value": float(sample["value"])}
     return out
 
 

@@ -1,4 +1,4 @@
-"""A zero-dependency metrics registry: counters, gauges, histograms.
+"""A zero-dependency metrics registry: counters and gauges.
 
 One :class:`MetricsRegistry` unifies the stats previously siloed in
 ``CacheStats`` (hit/miss/eviction/coalesced/errors), the batch runner's
@@ -7,8 +7,8 @@ retry/quarantine/timeout counts, the fallback-tier outcomes of
 per-rule fire counts — behind two exporters:
 
 * :meth:`MetricsRegistry.to_prometheus` — the Prometheus text
-  exposition format (``# TYPE``/``# HELP`` headers, cumulative
-  histogram buckets), scrape- and ``promtool``-compatible;
+  exposition format (``# TYPE``/``# HELP`` headers), scrape- and
+  ``promtool``-compatible;
 * :meth:`MetricsRegistry.as_dict` — a JSON-stable snapshot
   (``repro-metrics-v1``) that also round-trips through
   :meth:`MetricsRegistry.merge`, which is how per-process batch workers
@@ -31,15 +31,13 @@ refresh gauges only at export time, Prometheus-client style.
 from __future__ import annotations
 
 import json
-import math
 import re
 import threading
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "default_registry",
     "set_default_registry",
@@ -49,11 +47,6 @@ SCHEMA = "repro-metrics-v1"
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
-
-#: Default histogram buckets: seconds, log-spaced from 100 µs to 100 s.
-DEFAULT_BUCKETS: Tuple[float, ...] = (
-    0.0001, 0.001, 0.01, 0.1, 0.5, 1.0, 5.0, 10.0, 60.0, 100.0,
-)
 
 
 class _Child:
@@ -73,9 +66,6 @@ class _Child:
 
     def set(self, value: float) -> None:
         self._family._update(self._key, value, mode="set")
-
-    def observe(self, value: float) -> None:
-        self._family._observe(self._key, value)
 
 
 class _Metric:
@@ -115,16 +105,11 @@ class _Metric:
     def _update(self, key: Tuple[str, ...], amount: float, mode: str) -> None:
         if self.kind == "counter" and (mode == "set" or amount < 0):
             raise ValueError(f"counter {self.name!r} can only increase")
-        if self.kind == "histogram":
-            raise ValueError(f"histogram {self.name!r} needs .observe()")
         with self._registry._lock:
             if mode == "set":
                 self._series[key] = float(amount)
             else:
                 self._series[key] = self._series.get(key, 0.0) + amount
-
-    def _observe(self, key: Tuple[str, ...], value: float) -> None:
-        raise ValueError(f"{self.kind} {self.name!r} does not support observe()")
 
     def _get(self, key: Tuple[str, ...]) -> Any:
         with self._registry._lock:
@@ -140,9 +125,6 @@ class _Metric:
 
     def set(self, value: float) -> None:
         self._default_child().set(value)
-
-    def observe(self, value: float) -> None:
-        self._default_child().observe(value)
 
     def value(self, **labels: Any):
         """Current value of one series (None when never touched)."""
@@ -190,87 +172,6 @@ class Gauge(_Metric):
     kind = "gauge"
 
 
-class Histogram(_Metric):
-    """A fixed-bucket distribution (durations, sizes).
-
-    Buckets are upper bounds; an implicit ``+Inf`` bucket always exists.
-    Exported cumulatively, Prometheus-style, with ``_sum`` and
-    ``_count`` series.
-    """
-
-    kind = "histogram"
-
-    def __init__(self, registry, name, help, labels,
-                 buckets: Sequence[float] = DEFAULT_BUCKETS):
-        super().__init__(registry, name, help, labels)
-        bounds = tuple(sorted(float(b) for b in buckets))
-        if not bounds:
-            raise ValueError("histogram needs at least one bucket bound")
-        if len(set(bounds)) != len(bounds):
-            raise ValueError(f"duplicate bucket bounds in {bounds!r}")
-        self.buckets = bounds
-
-    def _observe(self, key: Tuple[str, ...], value: float) -> None:
-        value = float(value)
-        with self._registry._lock:
-            state = self._series.get(key)
-            if state is None:
-                state = {"counts": [0] * (len(self.buckets) + 1),
-                         "sum": 0.0, "count": 0}
-                self._series[key] = state
-            for index, bound in enumerate(self.buckets):
-                if value <= bound:
-                    state["counts"][index] += 1
-                    break
-            else:
-                state["counts"][-1] += 1
-            state["sum"] += value
-            state["count"] += 1
-
-    def _samples(self) -> List[Dict[str, Any]]:
-        with self._registry._lock:
-            series = {k: {"counts": list(v["counts"]), "sum": v["sum"],
-                          "count": v["count"]} for k, v in self._series.items()}
-        rows = []
-        for key in sorted(series):
-            state = series[key]
-            rows.append({
-                "labels": dict(zip(self.label_names, key)),
-                "buckets": {
-                    _fmt_bound(bound): count
-                    for bound, count in zip(
-                        (*self.buckets, math.inf), state["counts"]
-                    )
-                },
-                "sum": state["sum"],
-                "count": state["count"],
-            })
-        return rows
-
-    def _merge_sample(self, labels: Dict[str, str], sample: Dict[str, Any]) -> None:
-        key = tuple(str(labels[n]) for n in self.label_names)
-        incoming = [
-            sample["buckets"].get(_fmt_bound(bound), 0)
-            for bound in (*self.buckets, math.inf)
-        ]
-        with self._registry._lock:
-            state = self._series.get(key)
-            if state is None:
-                state = {"counts": [0] * (len(self.buckets) + 1),
-                         "sum": 0.0, "count": 0}
-                self._series[key] = state
-            state["counts"] = [a + b for a, b in zip(state["counts"], incoming)]
-            state["sum"] += float(sample["sum"])
-            state["count"] += int(sample["count"])
-
-
-def _fmt_bound(bound: float) -> str:
-    if math.isinf(bound):
-        return "+Inf"
-    text = repr(bound)
-    return text[:-2] if text.endswith(".0") else text
-
-
 def _escape(value: str) -> str:
     return value.replace("\\", r"\\").replace('"', r'\"').replace("\n", r"\n")
 
@@ -291,7 +192,7 @@ class MetricsRegistry:
     # -- get-or-create --------------------------------------------------
 
     def _register(self, cls, name: str, help: str,
-                  labels: Sequence[str], **kwargs) -> _Metric:
+                  labels: Sequence[str]) -> _Metric:
         if not _NAME_RE.match(name):
             raise ValueError(f"invalid metric name {name!r}")
         labels = tuple(labels)
@@ -307,7 +208,7 @@ class MetricsRegistry:
                         f"{existing.kind} with labels {existing.label_names}"
                     )
                 return existing
-            metric = cls(self, name, help, labels, **kwargs)
+            metric = cls(self, name, help, labels)
             self._metrics[name] = metric
             return metric
 
@@ -318,10 +219,6 @@ class MetricsRegistry:
     def gauge(self, name: str, help: str = "",
               labels: Sequence[str] = ()) -> Gauge:
         return self._register(Gauge, name, help, labels)
-
-    def histogram(self, name: str, help: str = "", labels: Sequence[str] = (),
-                  buckets: Sequence[float] = DEFAULT_BUCKETS) -> Histogram:
-        return self._register(Histogram, name, help, labels, buckets=buckets)
 
     def register_collector(
         self, collect: Callable[["MetricsRegistry"], None]
@@ -365,8 +262,6 @@ class MetricsRegistry:
                     "type": m.kind,
                     "help": m.help,
                     "labels": list(m.label_names),
-                    **({"buckets": [_fmt_bound(b) for b in m.buckets]}
-                       if isinstance(m, Histogram) else {}),
                     "samples": m._samples(),
                 }
                 for m in sorted(metrics, key=lambda m: m.name)
@@ -387,28 +282,10 @@ class MetricsRegistry:
                 lines.append(f"# HELP {metric.name} {_escape(metric.help)}")
             lines.append(f"# TYPE {metric.name} {metric.kind}")
             for sample in metric._samples():
-                labels = sample["labels"]
-                if isinstance(metric, Histogram):
-                    cumulative = 0
-                    for bound, count in sample["buckets"].items():
-                        cumulative += count
-                        lines.append(
-                            f"{metric.name}_bucket"
-                            f"{_label_str({**labels, 'le': bound})} {cumulative}"
-                        )
-                    lines.append(
-                        f"{metric.name}_sum{_label_str(labels)} "
-                        f"{_fmt_value(sample['sum'])}"
-                    )
-                    lines.append(
-                        f"{metric.name}_count{_label_str(labels)} "
-                        f"{sample['count']}"
-                    )
-                else:
-                    lines.append(
-                        f"{metric.name}{_label_str(labels)} "
-                        f"{_fmt_value(sample['value'])}"
-                    )
+                lines.append(
+                    f"{metric.name}{_label_str(sample['labels'])} "
+                    f"{_fmt_value(sample['value'])}"
+                )
         return "\n".join(lines) + "\n"
 
     def write(self, path) -> None:
@@ -426,7 +303,7 @@ class MetricsRegistry:
 
     def merge(self, snapshot: Dict[str, Any]) -> None:
         """Fold another registry's :meth:`as_dict` snapshot into this
-        one: counters and histograms add, gauges keep the maximum.  This
+        one: counters add, gauges keep the maximum.  This
         is how per-worker registries from the process backend aggregate
         into the batch's single exported registry."""
         if snapshot.get("schema") != SCHEMA:
@@ -434,21 +311,14 @@ class MetricsRegistry:
                 f"cannot merge metrics snapshot with schema "
                 f"{snapshot.get('schema')!r}; expected {SCHEMA!r}"
             )
-        kinds = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
+        kinds = {"counter": Counter, "gauge": Gauge}
         for entry in snapshot["metrics"]:
             cls = kinds.get(entry["type"])
             if cls is None:
                 raise ValueError(f"unknown metric type {entry['type']!r}")
-            kwargs = {}
-            if cls is Histogram:
-                kwargs["buckets"] = [
-                    math.inf if b == "+Inf" else float(b)
-                    for b in entry.get("buckets", [])
-                    if b != "+Inf"
-                ] or DEFAULT_BUCKETS
             metric = self._register(
                 cls, entry["name"], entry.get("help", ""),
-                entry.get("labels", ()), **kwargs,
+                entry.get("labels", ()),
             )
             for sample in entry["samples"]:
                 metric._merge_sample(sample["labels"], sample)

@@ -22,7 +22,10 @@ The statistics are deliberately robust, not parametric:
   ``fraction``) is lower-is-better;
 * an entry's *declared* ``baseline`` (the floor/budget its suite
   asserts) is always honored: violating it is a regression no matter
-  what the rolling statistics say.
+  what the rolling statistics say;
+* a series is judged only while its suite's newest sample still
+  carries the entry, so a suite retires an entry by no longer
+  publishing it.
 
 Verdicts: ``ok`` | ``regressed`` | ``improved`` | ``noisy`` (the
 series' own spread exceeds the noise ceiling, so no drift call is
@@ -217,9 +220,14 @@ def evaluate_history(
 
     Deterministic for a given journal — no timestamps, no host probing
     — so the same history always yields the same document."""
-    series = _flatten(load_history(path))
+    docs = load_history(path)
+    published = {doc["suite"]: {e["name"] for e in doc.get("entries", ())}
+                 for doc in docs}  # each suite's newest sample wins
+    series = _flatten(docs)
     results = []
     for (suite, name), samples in sorted(series.items()):
+        if name not in published[suite]:
+            continue
         judged = _judge(
             samples,
             window=window, min_samples=min_samples, threshold=threshold,

@@ -29,6 +29,24 @@ settings.register_profile(
 )
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
 
+#: Set to any string to run the collected tests in a seeded random
+#: order (one CI leg does); unset or empty keeps file order.
+ORDER_SEED = os.environ.get("REPRO_TEST_ORDER_SEED") or None
+
+
+def pytest_report_header(config):
+    if ORDER_SEED is not None:
+        return f"test order shuffled: REPRO_TEST_ORDER_SEED={ORDER_SEED}"
+    return None
+
+
+def pytest_collection_modifyitems(session, config, items):
+    """Shuffle the collected tests when ``REPRO_TEST_ORDER_SEED`` is
+    set, so a test that leans on state another one leaves behind fails
+    reproducibly under that seed."""
+    if ORDER_SEED is not None:
+        random.Random(ORDER_SEED).shuffle(items)
+
 
 @pytest.fixture
 def two_actor_multirate() -> SDFGraph:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ticking_deadlines
 from strategies import consistent_connected_sdf_graphs, shuffled_clones
 
 from repro.analysis.cache import AnalysisCache, default_cache, set_default_cache
@@ -341,7 +342,7 @@ class TestErrorAccounting:
             Deadline.after(0.0).check_now()
             raise AssertionError("unreachable")
 
-        with pytest.raises(AnalysisTimeout):
+        with ticking_deadlines(), pytest.raises(AnalysisTimeout):
             cache.get_or_compute(g, "slowthing", timed_out)
         assert cache.lookup(g, "slowthing") is None
         assert cache.stats().errors == 1

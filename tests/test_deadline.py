@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from conftest import ticking_deadlines
 from repro.analysis.deadline import CancelToken, Deadline
 from repro.analysis.throughput import throughput
 from repro.core.symbolic import symbolic_iteration
@@ -101,18 +102,20 @@ class TestCancelToken:
 
 
 class TestThreadedThroughAnalyses:
-    """The deadline actually reaches every hot loop."""
+    """The deadline actually reaches every hot loop.  Budgets run on a
+    ticking clock, so they expire after a fixed number of polls however
+    fast the host is."""
 
     @pytest.mark.parametrize("method", ["symbolic", "simulation", "hsdf"])
     def test_expired_deadline_interrupts(self, method):
         g = mp3_playback()
-        with pytest.raises(AnalysisTimeout) as exc:
+        with ticking_deadlines(), pytest.raises(AnalysisTimeout) as exc:
             throughput(g, method=method, deadline=Deadline.after(0.0))
         assert exc.value.stage is not None
 
     def test_timeout_carries_progress(self):
         g = mp3_playback()
-        with pytest.raises(AnalysisTimeout) as exc:
+        with ticking_deadlines(), pytest.raises(AnalysisTimeout) as exc:
             traditional_hsdf(g, deadline=Deadline.after(0.005))
         assert exc.value.stage == "traditional-hsdf"
         assert "copies_total" in exc.value.progress
@@ -135,7 +138,7 @@ class TestThreadedThroughAnalyses:
         analysis and re-running it gives exactly the fresh answer."""
         g = mp3_playback()
         fingerprint = g.fingerprint()
-        with pytest.raises(AnalysisTimeout):
+        with ticking_deadlines(), pytest.raises(AnalysisTimeout):
             throughput(g, method="hsdf", deadline=Deadline.after(0.005))
         assert g.fingerprint() == fingerprint
         rerun = throughput(g, method="symbolic")

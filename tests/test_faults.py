@@ -6,6 +6,7 @@ import pickle
 
 import pytest
 
+from conftest import ticking_deadlines
 from repro.analysis.deadline import Deadline
 from repro.analysis.faults import (
     CRASH_SITES,
@@ -100,7 +101,7 @@ class TestFaultPlan:
 
     def test_delay_honours_deadline(self):
         plan = FaultPlan((FaultRule(action="delay", name="g", seconds=30.0),))
-        with pytest.raises(AnalysisTimeout):
+        with ticking_deadlines(), pytest.raises(AnalysisTimeout):
             plan.fire("g", "fp", deadline=Deadline.after(0.01))
 
     def test_hang_without_deadline_refuses(self):

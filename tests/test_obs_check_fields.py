@@ -66,7 +66,6 @@ def refused(kind):
 def _metrics():
     registry = MetricsRegistry()
     registry.counter("hits_total", "cache hits").inc()
-    registry.histogram("latency_seconds", "latency").observe(0.5)
     return registry.as_dict()
 
 
@@ -87,7 +86,6 @@ def corpus(tmp_path):
     one for each valid starting document."""
     metrics = _metrics()
     counter = _metric_index(metrics, "counter")
-    histogram = _metric_index(metrics, "histogram")
     bound = _provenance(status="conservative-bound", bound_phase_count=2,
                         bound_abstract_cycle_time="7/2")
     return {
@@ -101,8 +99,6 @@ def corpus(tmp_path):
             (("metrics", counter), f"metrics[{counter}]", check._METRIC),
             (("metrics", counter, "samples", 0),
              f"metrics[{counter}].samples[0]", {"labels": check.OBJ}),
-            (("metrics", histogram, "samples", 0),
-             f"metrics[{histogram}].samples[0]", check._HISTOGRAM_SAMPLE),
         ])],
         check.PROVENANCE_SCHEMA: [
             (_provenance(), [

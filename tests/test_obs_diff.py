@@ -105,24 +105,18 @@ class TestTraceSummaryDiff:
 
 class TestMetricsDiff:
     def test_counters_and_histograms(self):
-        def snapshot(ok, histo_count, histo_sum):
+        def snapshot(ok):
             return {
                 "schema": "repro-metrics-v1",
                 "metrics": [
                     {"name": "repro_batch_results_total", "type": "counter",
                      "samples": [{"labels": {"status": "ok"}, "value": ok}]},
-                    {"name": "repro_analysis_seconds", "type": "histogram",
-                     "samples": [{"labels": {}, "count": histo_count,
-                                  "sum": histo_sum, "buckets": {}}]},
                 ],
             }
 
-        diff = diff_documents(snapshot(8, 8, 1.0), snapshot(16, 16, 4.0))
+        diff = diff_documents(snapshot(8), snapshot(16))
         by_key = {r["key"]: r for r in diff["rows"]}
         assert by_key['repro_batch_results_total{status=ok}']["delta"] == 8
-        assert by_key["repro_analysis_seconds.count"]["b"] == 16
-        assert by_key["repro_analysis_seconds.sum"]["relative"] == \
-            pytest.approx(3.0)
         assert diff["kind"] == "metrics"
         validate_trace_diff(diff)
 

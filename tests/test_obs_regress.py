@@ -129,6 +129,20 @@ class TestVerdicts:
         (result,) = evaluate_history(path, window=3)["results"]
         assert result["verdict"] == "ok"
 
+    def test_entry_missing_from_newest_sample_is_not_judged(self, tmp_path):
+        # The suite's newest run no longer publishes ``retired``: its
+        # series has enough priors, but the suite has retired it.
+        retired = [_doc("kernels", "retired", v) for v in (1.0, 1.0, 1.0, 3.0)]
+        docs = retired + _series([1.0, 1.0, 1.0, 1.0])
+        report = evaluate_history(_history(tmp_path, docs))
+        assert [r["entry"] for r in report["results"]] == ["mcm_seconds"]
+        assert report["regressed"] == []
+        # Another suite's newest sample does not retire it.
+        docs = retired + [_doc("other", "mcm_seconds", 1.0)]
+        report = evaluate_history(_history(tmp_path, docs, name="b.jsonl"))
+        assert {(r["suite"], r["entry"]) for r in report["results"]} == {
+            ("kernels", "retired"), ("other", "mcm_seconds")}
+
     def test_torn_journal_is_an_error(self, tmp_path):
         path = tmp_path / "history.jsonl"
         path.write_text(json.dumps(_doc("s", "e", 1.0)) + "\n{torn")
