@@ -4,11 +4,15 @@ Two measurements, persisted to ``BENCH_resilience.json`` at the
 repository root (``repro-bench-v1`` schema, see
 ``benchmarks/bench_common.py``):
 
-* **deadline-check overhead** — the max-plus MCM hot path (symbolic
-  matrix -> Karp's algorithm) run bare vs. under a generous
-  :class:`Deadline`.  The checks are strided (the clock is consulted on
-  every 64th poll), so the budget is < 3% — making it affordable to
-  leave deadlines on in production flows.
+* **deadline-check overhead** on the max-plus MCM hot path (symbolic
+  matrix -> Karp's algorithm) of the worst registry graph.  The asserted
+  number is derived the way ``bench_obs.py`` derives its disabled-span
+  cost: the polls one analysis makes (counted on a counting
+  :class:`Deadline`), times the measured cost of each poll method (a
+  tight loop, min-of-N), over the bare analysis time.  Budget: < 3%.
+  Two wall-clock timings cannot carry a 3% claim on a shared host, so
+  the bare-vs-timed A/B is kept as a noise-floored sanity check with
+  ``bench_obs.py``'s ±10% ceiling.
 * **fallback wall-clock win** — on the worst registry graph (largest
   iteration length, i.e. the worst classical-expansion blowup), the
   tiered policy's Theorem-1 conservative bound vs. the exact analysis
@@ -22,9 +26,10 @@ from __future__ import annotations
 
 import pathlib
 import time
+from collections import Counter
 from contextlib import contextmanager
 
-from bench_common import write_bench, entry
+from bench_common import entry, noise_floored, write_bench
 from repro.analysis import deadline as deadline_module
 from repro.analysis.deadline import Deadline
 from repro.analysis.resilience import CONSERVATIVE, AnalysisPolicy
@@ -76,17 +81,67 @@ def _ticking_deadlines():
         deadline_module.time = saved
 
 
-def measure_deadline_overhead() -> dict:
-    """Strided deadline checks on the MCM hot loop, bare vs. timed.
+class _CountingDeadline(Deadline):
+    """A generous deadline that counts the polls made on it, by method."""
 
-    Single runs of the MCM are dominated by scheduler/allocator jitter
-    (±10% run to run), so each timing *sample* batches ``BATCH`` full
-    Karp analyses of the worst registry graph's symbolic matrix and the
-    bare/timed samples are interleaved; min-of-samples then isolates the
-    systematic cost of the checks from the noise."""
+    def __init__(self) -> None:
+        super().__init__(budget=3000.0)
+        self.polls: Counter = Counter()
+
+    def check(self) -> None:
+        self.polls["check"] += 1
+        super().check()
+
+    def check_now(self) -> None:
+        self.polls["check_now"] += 1
+        super().check_now()
+
+    def checkpoint(self, stage, progress=None):
+        self.polls["checkpoint"] += 1
+        return super().checkpoint(stage, progress)
+
+
+def count_polls(matrix) -> dict:
+    """The polls one analysis of ``matrix`` makes, by method.  The
+    ``check_now`` that every ``stride``-th ``check`` makes itself is
+    part of that check's measured cost, so it is not counted again."""
+    deadline = _CountingDeadline()
+    eigenvalue(matrix, deadline=deadline)
+    polls = dict(deadline.polls)
+    strided = -(-polls.get("check", 0) // deadline.stride)
+    polls["check_now"] = polls.get("check_now", 0) - strided
+    return polls
+
+
+def measure_poll_costs() -> dict:
+    """ns per call of each poll method on a generous deadline
+    (min-of-N tight loops; the loop's own cost is included)."""
+    deadline = Deadline.after(3000.0)
+    polls = {"check": (deadline.check, 100_000),
+             "check_now": (deadline.check_now, 20_000),
+             "checkpoint": (lambda: deadline.checkpoint("bench"), 20_000)}
+    costs = {}
+    for name, (poll, calls) in polls.items():
+        best = float("inf")
+        for _ in range(5):
+            start = time.perf_counter()
+            for _ in range(calls):
+                poll()
+            best = min(best, time.perf_counter() - start)
+        costs[name] = round(best / calls * 1e9, 1)
+    return costs
+
+
+def measure_deadline_overhead() -> dict:
+    """Deadline polls on the MCM hot loop: the derived cost, and the
+    bare-vs-timed A/B that cross-checks it.
+
+    Each A/B sample batches ``BATCH`` full Karp analyses of the worst
+    registry graph's symbolic matrix; bare and timed samples alternate
+    and min-of-samples sheds most scheduler noise, though not enough to
+    resolve a cost far below 1%."""
     # Largest symbolic matrix in the registry: per-call costs amortise
-    # over the longest Karp runs, so the fraction reflects the strided
-    # checks and not call-setup noise.
+    # over the longest Karp runs.
     graph = max(
         (case.build() for case in TABLE1_CASES),
         key=lambda g: symbolic_iteration(g).matrix.nrows,
@@ -121,16 +176,24 @@ def measure_deadline_overhead() -> dict:
                 bare = min(bare, elapsed)
             else:
                 timed = min(timed, elapsed)
-    overhead = (timed - bare) / bare if bare else 0.0
+
+    polls = count_polls(matrix)
+    ns_per_poll = measure_poll_costs()
+    analysis_seconds = bare / BATCH
+    derived = sum(count * ns_per_poll[name] for name, count in polls.items()
+                  ) * 1e-9 / analysis_seconds
     return {
         "graph": graph.name,
         "matrix_order": matrix.nrows,
         "repeats": REPEATS,
         "batch": BATCH,
+        "polls": polls,
+        "ns_per_poll": ns_per_poll,
+        "analysis_seconds": round(analysis_seconds, 6),
+        "overhead_fraction": round(derived, 6),
         "bare_seconds": round(bare, 6),
         "deadline_seconds": round(timed, 6),
-        "overhead_fraction": round(overhead, 4),
-        "target_fraction": 0.03,
+        "ab_overhead_fraction": round((timed - bare) / bare, 4),
     }
 
 
@@ -174,8 +237,19 @@ def _entries(overhead: dict, fallback: dict) -> list:
               overhead["overhead_fraction"], baseline=0.03,
               graph=overhead["graph"],
               matrix_order=overhead["matrix_order"],
-              repeats=overhead["repeats"], batch=overhead["batch"],
-              note="baseline is the asserted ceiling"),
+              polls=overhead["polls"],
+              ns_per_poll=overhead["ns_per_poll"],
+              analysis_seconds=overhead["analysis_seconds"],
+              note="derived: polls x ns_per_poll / analysis_seconds; "
+                   "baseline is the asserted ceiling"),
+        noise_floored("deadline_ab_overhead_fraction", "ratio",
+                      overhead["ab_overhead_fraction"], baseline=0.10,
+                      graph=overhead["graph"], repeats=overhead["repeats"],
+                      batch=overhead["batch"],
+                      note="A/B of two wall-clock timings; baseline is the "
+                           "asserted |overhead| <= 10% sanity ceiling; "
+                           "negative measurements clamp to 0"),
+        entry("deadline_check_ns", "ns", overhead["ns_per_poll"]["check"]),
         entry("deadline_bare_seconds", "s", overhead["bare_seconds"]),
         entry("deadline_timed_seconds", "s", overhead["deadline_seconds"]),
         entry("fallback_exact_hsdf_seconds", "s",
@@ -197,12 +271,20 @@ def test_resilience_baseline(report):
     fallback = measure_fallback_win()
 
     report("Resilience: deadline overhead + fallback win (BENCH_resilience.json)")
+    polls = ", ".join(f"{count} {name}()" for name, count
+                      in sorted(overhead["polls"].items()))
+    costs = ", ".join(f"{name} {ns:.0f} ns" for name, ns
+                      in sorted(overhead["ns_per_poll"].items()))
     report(f"MCM hot loop on {overhead['graph']} "
-           f"(order-{overhead['matrix_order']} matrix x "
-           f"{overhead['batch']} analyses/sample): "
+           f"(order-{overhead['matrix_order']} matrix): {polls} per "
+           f"analysis of {overhead['analysis_seconds'] * 1e3:.3f} ms; "
+           f"{costs} -> {overhead['overhead_fraction']:.4%} derived "
+           f"overhead (target < 3%)")
+    report(f"A/B cross-check ({overhead['batch']} analyses/sample): "
            f"bare {overhead['bare_seconds']:.4f}s, "
            f"with deadline {overhead['deadline_seconds']:.4f}s "
-           f"({overhead['overhead_fraction']:+.1%}, target < 3%)")
+           f"({overhead['ab_overhead_fraction']:+.1%}, sanity ceiling "
+           f"±10%)")
     report(f"{fallback['graph']} "
            f"(iteration length {fallback['iteration_length']}): "
            f"exact via expansion {fallback['exact_hsdf_seconds']:.3f}s, "
@@ -215,10 +297,14 @@ def test_resilience_baseline(report):
     report(f"written to {BENCH_FILE.name}")
     report.save("resilience")
 
-    # Acceptance: strided checks stay under the 3% budget, and the
-    # fallback actually wins wall-clock against the exact expansion.
+    # Acceptance: the polls cost under 3% of the analysis (the derived
+    # bound), and the fallback actually wins wall-clock against the
+    # exact expansion.
     assert overhead["overhead_fraction"] < 0.03
     assert fallback["fallback_seconds"] < fallback["exact_hsdf_seconds"]
+    # Sanity on the A/B: its noise floor is above the true cost, but
+    # real work on the poll path would push it far beyond ±10%.
+    assert abs(overhead["ab_overhead_fraction"]) <= 0.10
 
 
 if __name__ == "__main__":  # standalone: regenerate the JSON baseline

@@ -5,11 +5,8 @@ two-mode decoder over protocol FSMs of growing permissiveness, checked
 against the brute-force periodic-sequence oracle and timed.
 """
 
-import pathlib
-
 import pytest
 
-from bench_common import entry, write_bench
 from repro.analysis.batch import run_batch
 from repro.analysis.cache import AnalysisCache
 from repro.analysis.throughput import throughput
@@ -21,8 +18,6 @@ from repro.scenarios import (
     worst_case_cycle_time,
 )
 from repro.sdf.graph import SDFGraph
-
-BENCH_FILE = pathlib.Path(__file__).resolve().parent.parent / "BENCH_scenarios.json"
 
 
 def frame_scenario(name, parse, decode, render):
@@ -114,17 +109,6 @@ def test_scenario_suite_through_batch_runner(report):
             if result.name.startswith(f"{name}@"):
                 assert result.values["throughput"].cycle_time == expected
         report(f"  mode {name}: cycle time {expected}")
-    # Informational trend entries (no asserted floor): the regression
-    # sentinel watches them drift across commits via history.jsonl.
-    write_bench(BENCH_FILE, "scenarios", [
-        entry("sweep_wall_seconds", "s", batch.duration,
-              jobs=len(sweep), modes=len(SCENARIOS),
-              backend="thread", workers=4),
-        entry("sweep_jobs_per_second", "jobs/s",
-              len(sweep) / batch.duration if batch.duration else 0.0,
-              jobs=len(sweep), backend="thread", workers=4),
-    ])
-    report(f"written to {BENCH_FILE.name}")
     report.save("scenarios_batch")
 
 

@@ -275,7 +275,6 @@ def analyse_graph(
                 result.error_type = "KeyboardInterrupt"
                 result.values.clear()
                 break
-            # devlint: ignore[broad-except] per-graph isolation boundary: the pool must survive arbitrary analysis failures (timeouts included) and report them per graph
             except Exception as error:
                 result.error = f"{error} {tag}"
                 result.error_type = type(error).__name__

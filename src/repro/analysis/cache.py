@@ -308,7 +308,6 @@ class AnalysisCache:
         self._store.move_to_end(key)
         while len(self._store) > self.maxsize:
             self._store.popitem(last=False)
-            # devlint: ignore[lock-discipline] every caller of _insert holds self._lock; the counter write is lock-protected one frame up
             self._evictions += 1
 
     def get_or_compute(
@@ -375,7 +374,6 @@ class AnalysisCache:
                         self._insert(key, value)
                     flight.value = value
                     return value
-                # devlint: ignore[broad-except] single-flight protocol: the error (whatever it is, KeyboardInterrupt included) must reach the waiters before re-raising, or they deadlock
                 except BaseException as error:
                     flight.error = error
                     with self._lock:

@@ -532,17 +532,26 @@ def cmd_map(args) -> int:
     return 0
 
 
-def _run_findings(args, codes, render, *, config_name, collect,
-                  no_input) -> int:
-    """The findings pipeline ``repro lint`` and ``repro devlint`` share.
+def cmd_lint(args) -> int:
+    from repro.analysis.cache import default_cache
+    from repro.lint import (
+        lint_csdf,
+        load_baseline,
+        load_config,
+        render_json,
+        render_sarif,
+        render_text,
+        rule_codes,
+        run_lint,
+        write_baseline,
+    )
 
-    ``--select``/``--ignore`` are checked against the registry's rule
-    ``codes`` (an unknown code exits 2), ``collect(config)`` produces
-    the reports (none at all exits 2 with ``no_input``), the baseline is
-    written and/or subtracted, ``render[args.format]`` prints the report
-    to ``-o`` or stdout, and ``--fail-on`` picks the exit code.
-    """
-    from repro.lint import load_baseline, load_config, write_baseline
+    if args.csdf and args.registry:
+        print("error: --registry adds the SDF registry graphs and cannot be "
+              "combined with --csdf", file=sys.stderr)
+        return 2
+
+    codes = rule_codes()
 
     def split_codes(raw):
         if not raw:
@@ -558,14 +567,22 @@ def _run_findings(args, codes, render, *, config_name, collect,
             raise SystemExit(2)
         return selected
 
-    config = load_config(args.config, filename=config_name).merged(
+    config = load_config(args.config).merged(
         select=split_codes(args.select),
         ignore=split_codes(args.ignore),
         baseline=args.baseline,
     )
-    reports = collect(config)
+    if args.csdf:
+        reports = [lint_csdf(load_csdf(spec), config=config)
+                   for spec in args.graphs]
+    else:
+        graphs = [case.build() for case in TABLE1_CASES] if args.registry else []
+        graphs += [load_graph(spec) for spec in args.graphs]
+        cache = default_cache()
+        reports = [run_lint(g, config=config, cache=cache) for g in graphs]
     if not reports:
-        print(f"error: {no_input}", file=sys.stderr)
+        print("error: no graphs given (pass specs and/or --registry)",
+              file=sys.stderr)
         return 2
 
     if args.write_baseline:
@@ -578,6 +595,7 @@ def _run_findings(args, codes, render, *, config_name, collect,
         fingerprints = load_baseline(config.baseline)
         reports = [r.without_fingerprints(fingerprints) for r in reports]
 
+    render = {"text": render_text, "json": render_json, "sarif": render_sarif}
     _write(render[args.format](reports), args.output)
 
     errors = sum(len(r.errors) for r in reports)
@@ -589,61 +607,6 @@ def _run_findings(args, codes, render, *, config_name, collect,
     if warnings and args.fail_on == WARNING:
         return 1
     return 0
-
-
-def cmd_lint(args) -> int:
-    from repro.analysis.cache import default_cache
-    from repro.lint import (
-        CONFIG_FILENAME,
-        lint_csdf,
-        render_json,
-        render_sarif,
-        render_text,
-        rule_codes,
-        run_lint,
-    )
-
-    if args.csdf and args.registry:
-        print("error: --registry adds the SDF registry graphs and cannot be "
-              "combined with --csdf", file=sys.stderr)
-        return 2
-
-    def collect(config):
-        if args.csdf:
-            return [lint_csdf(load_csdf(spec), config=config)
-                    for spec in args.graphs]
-        graphs = []
-        if args.registry:
-            graphs += [case.build() for case in TABLE1_CASES]
-        graphs += [load_graph(spec) for spec in args.graphs]
-        cache = default_cache()
-        return [run_lint(g, config=config, cache=cache) for g in graphs]
-
-    render = {"text": render_text, "json": render_json, "sarif": render_sarif}
-    return _run_findings(
-        args, rule_codes(), render, config_name=CONFIG_FILENAME,
-        collect=collect,
-        no_input="no graphs given (pass specs and/or --registry)",
-    )
-
-
-def cmd_devlint(args) -> int:
-    from repro.devlint import CONFIG_FILENAME, DEVLINT, run_devlint
-    from repro.lint import render_json, render_sarif, render_text
-
-    rules = DEVLINT.all_rules()
-    render = {
-        "text": lambda rs: render_text(rs, skip_clean=True),
-        "json": lambda rs: render_json(rs, tool_name="repro-devlint"),
-        "sarif": lambda rs: render_sarif(rs, rules=rules,
-                                         tool_name="repro-devlint"),
-    }
-    return _run_findings(
-        args, DEVLINT.rule_codes(), render, config_name=CONFIG_FILENAME,
-        collect=lambda config: run_devlint(args.paths or ["src/repro"],
-                                           config=config),
-        no_input="no Python files under the given paths",
-    )
 
 
 def cmd_gantt(args) -> int:
@@ -801,33 +764,7 @@ OPTIONS = {
                                      "or .jsonl)"}),
     "verbose": (("-v", "--verbose"), {"action": "store_true",
                                       "help": "more detail"}),
-    # The findings pipeline of lint and devlint.
-    "findings-format": (("--format",), {
-        "choices": ("text", "json", "sarif"), "default": "text",
-        "help": "output format (default %(default)s)"}),
-    "fail-on": (("--fail-on",), {
-        "choices": (ERROR, WARNING, "never"), "default": ERROR,
-        "help": "exit 2 on errors; 'warning' also exits 1 on warnings-only; "
-                "'never' always exits 0"}),
-    "select": (("--select",), {"metavar": "CODES",
-                               "help": "comma-separated rule codes to run "
-                                       "(default: all)"}),
-    "ignore": (("--ignore",), {"metavar": "CODES",
-                               "help": "comma-separated rule codes to suppress"}),
-    "baseline": (("--baseline",), {
-        "metavar": "FILE",
-        "help": "subtract the accepted findings in this baseline file"}),
-    "write-baseline": (("--write-baseline",), {
-        "metavar": "FILE",
-        "help": "write the current findings as a new baseline"}),
-    "config": (("--config",), {
-        "metavar": "FILE",
-        "help": "config file (default: the command's own config file in "
-                "the working directory, when present; see docs/lint.md)"}),
 }
-
-FINDINGS = ("findings-format", "fail-on", "select", "ignore", "baseline",
-            "write-baseline", "config", "output", "trace", "metrics")
 
 #: Help of the commands that only group others.
 GROUPS = {
@@ -1032,14 +969,28 @@ COMMANDS = (
      ("graphs", "registry",
       (("--csdf",), {"action": "store_true",
                      "help": "treat the inputs as CSDF JSON graphs"}),
-      *FINDINGS)),
-    ("devlint", cmd_devlint,
-     "source-level invariant analyzer over the project's own code",
-     "devlint src/repro --fail-on error",
-     ((("paths",), {"nargs": "*", "metavar": "path",
-                    "help": "files or directories to analyze "
-                            "(default: src/repro)"}),
-      *FINDINGS)),
+      (("--format",), {"choices": ("text", "json", "sarif"), "default": "text",
+                       "help": "output format (default %(default)s)"}),
+      (("--fail-on",), {
+          "choices": (ERROR, WARNING, "never"), "default": ERROR,
+          "help": "exit 2 on errors; 'warning' also exits 1 on warnings-only; "
+                  "'never' always exits 0"}),
+      (("--select",), {"metavar": "CODES",
+                       "help": "comma-separated rule codes to run "
+                               "(default: all)"}),
+      (("--ignore",), {"metavar": "CODES",
+                       "help": "comma-separated rule codes to suppress"}),
+      (("--baseline",), {
+          "metavar": "FILE",
+          "help": "subtract the accepted findings in this baseline file"}),
+      (("--write-baseline",), {
+          "metavar": "FILE",
+          "help": "write the current findings as a new baseline"}),
+      (("--config",), {
+          "metavar": "FILE",
+          "help": "config file (default: .reprolint.json in the working "
+                  "directory, when present; see docs/lint.md)"}),
+      "output", "trace", "metrics")),
     ("gantt", cmd_gantt, "ASCII Gantt chart of self-timed execution",
      "gantt builtin:figure1 --horizon 46",
      ("graph",

@@ -177,7 +177,6 @@ def convert_to_hsdf(
     return conversion
 
 
-# devlint: ignore[provenance-hygiene] a reusable construction, not an entry point: its callers (convert_to_hsdf, the CSDF and mapping wrappers) record the step with the source model they know
 def realise_iteration_matrix(
     matrix: MaxPlusMatrix,
     token_ids,

@@ -113,14 +113,10 @@ class LintConfig:
         }
 
 
-def load_config(
-    path: Optional[str] = None, filename: str = CONFIG_FILENAME
-) -> LintConfig:
-    """Load ``path`` (or ``./<filename>`` when present; an absent
-    default file yields the empty config).  ``filename`` is the default
-    probed in the working directory — ``.reprolint.json`` for graph
-    lint, ``.reprodevlint.json`` for the devlint analyzer."""
-    probe = pathlib.Path(path) if path else pathlib.Path(filename)
+def load_config(path: Optional[str] = None) -> LintConfig:
+    """Load ``path`` (or ``./.reprolint.json`` when present; an absent
+    default file yields the empty config)."""
+    probe = pathlib.Path(path or CONFIG_FILENAME)
     if not probe.exists():
         if path:
             raise ReproError(f"lint config {path!r} not found")

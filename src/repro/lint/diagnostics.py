@@ -50,12 +50,6 @@ class Diagnostic:
     actionable suggestion.  ``graph`` is the display name of the model
     the finding belongs to — set by the engine, so rules may leave it
     empty.
-
-    Source-level findings (the :mod:`repro.devlint` analyzer) anchor to
-    files instead of graphs: ``file``/``line``/``col`` give the physical
-    location, ``graph`` holds the file path and ``actors`` the enclosing
-    function's qualified name — so baselines stay stable across line
-    shifts (the fingerprint never includes the line number).
     """
 
     code: str
@@ -67,9 +61,6 @@ class Diagnostic:
     data: Mapping[str, Any] = field(default_factory=dict)
     fix: Optional[str] = None
     graph: str = ""
-    file: str = ""
-    line: int = 0
-    col: int = 0
 
     def __post_init__(self):
         severity_rank(self.severity)  # validates
@@ -95,7 +86,7 @@ class Diagnostic:
     def as_dict(self) -> Dict[str, Any]:
         """The stable JSON shape of one finding (documented in
         ``docs/lint.md``)."""
-        payload = {
+        return {
             "code": self.code,
             "severity": self.severity,
             "category": self.category,
@@ -106,11 +97,6 @@ class Diagnostic:
             "fix": self.fix,
             "fingerprint": self.fingerprint,
         }
-        if self.file:
-            payload["file"] = self.file
-            payload["line"] = self.line
-            payload["col"] = self.col
-        return payload
 
     def __str__(self) -> str:
         anchors = ""
@@ -118,8 +104,7 @@ class Diagnostic:
             anchors += f" [actors: {', '.join(self.actors)}]"
         if self.edges:
             anchors += f" [edges: {', '.join(self.edges)}]"
-        where = f"{self.file}:{self.line}: " if self.file else ""
-        return f"{where}[{self.severity}] {self.code}: {self.message}{anchors}"
+        return f"[{self.severity}] {self.code}: {self.message}{anchors}"
 
 
 @dataclass(frozen=True)

@@ -4,21 +4,15 @@ The JSON shape (``--format json``) is versioned and documented in
 ``docs/lint.md``; the SARIF emitter targets the SARIF 2.1.0 schema so
 reports upload directly to code-scanning UIs (one *run*, one *result*
 per finding, rules carried in the tool's driver with their metadata).
-
-The emitters are shared by the graph lint engine and the source-level
-:mod:`repro.devlint` analyzer: pass ``rules=``/``tool_name=`` to emit
-under a different rule namespace, and findings carrying ``file``/
-``line`` anchors render SARIF *physical* locations (clickable in code
-scanning) in addition to the logical graph anchors.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 from repro.lint.diagnostics import ERROR, INFO, WARNING, LintReport
-from repro.lint.registry import RegisteredRule, all_rules
+from repro.lint.registry import all_rules
 
 #: Version of the ``--format json`` envelope.
 JSON_FORMAT_VERSION = 1
@@ -36,21 +30,13 @@ def _tool_version() -> str:
     return getattr(repro, "__version__", "0")
 
 
-def render_text(reports: Sequence[LintReport], skip_clean: bool = False) -> str:
-    """The human-readable report (what the CLI prints by default).
-
-    ``skip_clean`` collapses clean reports into one summary line — the
-    devlint CLI uses it so a 90-file scan prints findings, not 90
-    "clean" lines.
-    """
+def render_text(reports: Sequence[LintReport]) -> str:
+    """The human-readable report (what the CLI prints by default)."""
     blocks: List[str] = []
-    clean = 0
     for report in reports:
         summary = report.summary()
         if report.clean:
-            clean += 1
-            if not skip_clean:
-                blocks.append(f"{report.graph}: clean")
+            blocks.append(f"{report.graph}: clean")
             continue
         lines = [
             f"{report.graph}: {summary['errors']} error(s), "
@@ -61,22 +47,14 @@ def render_text(reports: Sequence[LintReport], skip_clean: bool = False) -> str:
             if finding.fix:
                 lines.append(f"      fix: {finding.fix}")
         blocks.append("\n".join(lines))
-    if skip_clean:
-        findings = sum(len(r.findings) for r in reports)
-        blocks.append(
-            f"{len(reports)} file(s) scanned, {clean} clean, "
-            f"{findings} finding(s)"
-        )
     return "\n".join(blocks)
 
 
-def to_json_dict(
-    reports: Sequence[LintReport], tool_name: str = TOOL_NAME
-) -> Dict[str, Any]:
+def to_json_dict(reports: Sequence[LintReport]) -> Dict[str, Any]:
     """The stable machine-readable envelope of one lint invocation."""
     return {
         "version": JSON_FORMAT_VERSION,
-        "tool": {"name": tool_name, "version": _tool_version()},
+        "tool": {"name": TOOL_NAME, "version": _tool_version()},
         "runs": [report.as_dict() for report in reports],
         "summary": {
             "graphs": len(reports),
@@ -87,63 +65,18 @@ def to_json_dict(
     }
 
 
-def render_json(
-    reports: Sequence[LintReport], tool_name: str = TOOL_NAME
-) -> str:
+def render_json(reports: Sequence[LintReport]) -> str:
     return json.dumps(
-        to_json_dict(reports, tool_name=tool_name),
-        indent=2, sort_keys=True, default=str,
+        to_json_dict(reports), indent=2, sort_keys=True, default=str
     )
 
 
-def _locations(report: LintReport, finding) -> List[Dict[str, Any]]:
-    """SARIF locations: a physical one for file findings, plus one
-    logical location per graph/function anchor."""
-    locations: List[Dict[str, Any]] = []
-    if finding.file:
-        region: Dict[str, Any] = {"startLine": finding.line or 1}
-        if finding.col:
-            region["startColumn"] = finding.col
-        locations.append(
-            {
-                "physicalLocation": {
-                    "artifactLocation": {"uri": finding.file},
-                    "region": region,
-                }
-            }
-        )
-    locations.extend(
-        {
-            "logicalLocations": [
-                {
-                    "name": actor,
-                    "kind": "member",
-                    "fullyQualifiedName": f"{report.graph}::{actor}",
-                }
-            ]
-        }
-        for actor in finding.actors
-    )
-    return locations
-
-
-def to_sarif(
-    reports: Sequence[LintReport],
-    rules: Optional[Sequence[RegisteredRule]] = None,
-    tool_name: str = TOOL_NAME,
-) -> Dict[str, Any]:
-    """A SARIF 2.1.0 log: one run, all reports' findings as results.
-
-    Graph findings anchor with *logical locations* (``<graph>::<actor>``);
-    devlint findings additionally carry *physical locations* (file +
-    line).  ``rules`` defaults to the graph registry — pass the devlint
-    registry's rules to emit under the ``repro-devlint`` driver.
-    """
-    if rules is None:
-        rules = all_rules()
+def to_sarif(reports: Sequence[LintReport]) -> Dict[str, Any]:
+    """A SARIF 2.1.0 log: one run, all reports' findings as results,
+    anchored with *logical locations* (``<graph>::<actor>``)."""
     rule_index: Dict[str, int] = {}
     sarif_rules: List[Dict[str, Any]] = []
-    for registered in rules:
+    for registered in all_rules():
         meta = registered.meta
         rule_index[meta.code] = len(sarif_rules)
         sarif_rules.append(
@@ -176,9 +109,13 @@ def to_sarif(
             }
             if finding.code in rule_index:
                 result["ruleIndex"] = rule_index[finding.code]
-            locations = _locations(report, finding)
-            if locations:
-                result["locations"] = locations
+            if finding.actors:
+                result["locations"] = [
+                    {"logicalLocations": [{
+                        "name": actor, "kind": "member",
+                        "fullyQualifiedName": f"{report.graph}::{actor}"}]}
+                    for actor in finding.actors
+                ]
             if finding.fix:
                 result["properties"]["fix"] = finding.fix
             results.append(result)
@@ -190,7 +127,7 @@ def to_sarif(
             {
                 "tool": {
                     "driver": {
-                        "name": tool_name,
+                        "name": TOOL_NAME,
                         "version": _tool_version(),
                         "informationUri": "https://github.com/repro-sdf/repro",
                         "rules": sarif_rules,
@@ -203,15 +140,8 @@ def to_sarif(
     }
 
 
-def render_sarif(
-    reports: Sequence[LintReport],
-    rules: Optional[Sequence[RegisteredRule]] = None,
-    tool_name: str = TOOL_NAME,
-) -> str:
-    return json.dumps(
-        to_sarif(reports, rules=rules, tool_name=tool_name),
-        indent=2, sort_keys=True, default=str,
-    )
+def render_sarif(reports: Sequence[LintReport]) -> str:
+    return json.dumps(to_sarif(reports), indent=2, sort_keys=True, default=str)
 
 
 def _pascal(code: str) -> str:

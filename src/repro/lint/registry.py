@@ -1,4 +1,4 @@
-"""Rule registries: how lint rules plug into their engines.
+"""The rule registry: how lint rules plug into the engine.
 
 A rule is a generator function over a lint context, registered with the
 :func:`rule` decorator::
@@ -21,14 +21,6 @@ requires, and a documentation anchor — and makes the rule discoverable
 by the engine and by the SARIF/JSON emitters.  Third-party code can
 register additional rules with the same decorator; codes are unique and
 collisions fail loudly.
-
-There are two registries built on the same :class:`RuleRegistry`
-machinery: the *graph* registry below (the module-level ``rule`` /
-``all_rules`` API, unchanged), which analyses dataflow models, and the
-*devlint* registry (:data:`repro.devlint.registry.DEVLINT`), which
-analyses the project's own Python source for the cross-cutting code
-contracts (exactness, deadlines, provenance, locking).  Each registry
-owns its category order, model kinds and documentation page.
 """
 
 from __future__ import annotations
@@ -61,8 +53,6 @@ class RuleMeta:
     summary: str
     model: str = "sdf"
     requires: Tuple[str, ...] = ()
-    doc_page: str = DOC_PAGE
-    category_rank: int = 0
 
     def __post_init__(self):
         if not self.code:
@@ -72,12 +62,12 @@ class RuleMeta:
 
     @property
     def doc_url(self) -> str:
-        """Anchor into the diagnostic catalogue of the owning registry."""
-        return f"{self.doc_page}#{self.code}"
+        """Anchor into the diagnostic catalogue (``docs/lint.md``)."""
+        return f"{DOC_PAGE}#{self.code}"
 
     @property
     def order(self) -> Tuple[int, str]:
-        return (self.category_rank, self.code)
+        return (CATEGORIES.index(self.category), self.code)
 
 
 @dataclass(frozen=True)
@@ -88,97 +78,7 @@ class RegisteredRule:
     check: Callable = field(compare=False)
 
 
-class RuleRegistry:
-    """One namespace of rules: categories, model kinds, a doc page.
-
-    The graph-lint and devlint engines each own one instance; the
-    decorator-based registration protocol and the metadata consumed by
-    the SARIF/JSON emitters are identical across both.
-    """
-
-    def __init__(
-        self,
-        categories: Tuple[str, ...],
-        models: Tuple[str, ...],
-        doc_page: str,
-        default_model: Optional[str] = None,
-    ) -> None:
-        if not categories:
-            raise ValueError("a registry needs at least one category")
-        if not models:
-            raise ValueError("a registry needs at least one model kind")
-        self.categories = tuple(categories)
-        self.models = tuple(models)
-        self.doc_page = doc_page
-        self.default_model = default_model or self.models[0]
-        self._category_order = {name: i for i, name in enumerate(self.categories)}
-        self._rules: Dict[str, RegisteredRule] = {}
-
-    def rule(
-        self,
-        code: str,
-        category: str,
-        severity: str,
-        summary: str,
-        model: Optional[str] = None,
-        requires: Tuple[str, ...] = (),
-    ) -> Callable[[Callable], Callable]:
-        """Register a rule (decorator); see the module docstring."""
-        if category not in self.categories:
-            raise ValueError(
-                f"unknown category {category!r}; use one of {self.categories}"
-            )
-        model = model or self.default_model
-        if model not in self.models:
-            raise ValueError(
-                f"unknown model {model!r}; use one of {self.models}"
-            )
-        meta = RuleMeta(
-            code=code,
-            category=category,
-            default_severity=severity,
-            summary=summary,
-            model=model,
-            requires=requires,
-            doc_page=self.doc_page,
-            category_rank=self._category_order[category],
-        )
-
-        def decorate(check: Callable) -> Callable:
-            if code in self._rules:
-                raise ValueError(f"duplicate lint rule code {code!r}")
-            self._rules[code] = RegisteredRule(meta=meta, check=check)
-            return check
-
-        return decorate
-
-    def all_rules(self, model: Optional[str] = None) -> List[RegisteredRule]:
-        """Registered rules (for one model kind), in execution order."""
-        rules = [
-            r for r in self._rules.values()
-            if model is None or r.meta.model == model
-        ]
-        return sorted(rules, key=lambda r: r.meta.order)
-
-    def rule_codes(self, model: Optional[str] = None) -> List[str]:
-        return [r.meta.code for r in self.all_rules(model)]
-
-    def get_rule(self, code: str) -> RegisteredRule:
-        try:
-            return self._rules[code]
-        except KeyError:
-            raise KeyError(
-                f"no lint rule {code!r}; registered: "
-                f"{', '.join(sorted(self._rules))}"
-            ) from None
-
-    def unregister(self, code: str) -> None:
-        """Remove a rule (tests and plugin teardown)."""
-        self._rules.pop(code, None)
-
-
-#: The graph-model registry behind the module-level compatibility API.
-GRAPH_REGISTRY = RuleRegistry(CATEGORIES, MODELS, DOC_PAGE)
+_RULES: Dict[str, RegisteredRule] = {}
 
 
 def rule(
@@ -189,25 +89,52 @@ def rule(
     model: str = "sdf",
     requires: Tuple[str, ...] = (),
 ) -> Callable[[Callable], Callable]:
-    """Register a graph lint rule (decorator); see the module docstring."""
-    return GRAPH_REGISTRY.rule(
-        code, category, severity, summary, model=model, requires=requires
+    """Register a lint rule (decorator); see the module docstring."""
+    if category not in CATEGORIES:
+        raise ValueError(
+            f"unknown category {category!r}; use one of {CATEGORIES}"
+        )
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}; use one of {MODELS}")
+    meta = RuleMeta(
+        code=code,
+        category=category,
+        default_severity=severity,
+        summary=summary,
+        model=model,
+        requires=requires,
     )
+
+    def decorate(check: Callable) -> Callable:
+        if code in _RULES:
+            raise ValueError(f"duplicate lint rule code {code!r}")
+        _RULES[code] = RegisteredRule(meta=meta, check=check)
+        return check
+
+    return decorate
 
 
 def all_rules(model: Optional[str] = None) -> List[RegisteredRule]:
-    """Registered graph rules (for one model kind), in execution order."""
-    return GRAPH_REGISTRY.all_rules(model)
+    """Registered rules (for one model kind), in execution order."""
+    rules = [
+        r for r in _RULES.values() if model is None or r.meta.model == model
+    ]
+    return sorted(rules, key=lambda r: r.meta.order)
 
 
 def rule_codes(model: Optional[str] = None) -> List[str]:
-    return GRAPH_REGISTRY.rule_codes(model)
+    return [r.meta.code for r in all_rules(model)]
 
 
 def get_rule(code: str) -> RegisteredRule:
-    return GRAPH_REGISTRY.get_rule(code)
+    try:
+        return _RULES[code]
+    except KeyError:
+        raise KeyError(
+            f"no lint rule {code!r}; registered: {', '.join(sorted(_RULES))}"
+        ) from None
 
 
 def unregister(code: str) -> None:
-    """Remove a graph rule (tests and plugin teardown)."""
-    GRAPH_REGISTRY.unregister(code)
+    """Remove a rule (tests and plugin teardown)."""
+    _RULES.pop(code, None)

@@ -12,8 +12,8 @@ Dependency-free validators (no jsonschema in this environment) for:
   ``baseline``/``meta`` entries, plus the optional ``host`` stamp);
 * the ``repro-provenance-v1`` certificate written by ``repro explain
   --json`` (and embedded in outcome dicts);
-* the SARIF 2.1.0 logs written by ``repro lint`` and ``repro devlint``
-  with ``--format sarif`` (what CI uploads to code scanning);
+* SARIF 2.1.0 logs, such as ``repro lint --format sarif`` writes (what
+  CI uploads to code scanning);
 * the binary ``repro-store-v1`` record files of the durable result
   store (magic line, self-describing JSON header, SHA-256-checksummed
   payload — see :mod:`repro.analysis.store`), re-verified here
@@ -390,18 +390,18 @@ def validate_provenance(data: Any) -> Dict[str, int]:
 
 
 # ----------------------------------------------------------------------
-# SARIF logs (repro lint / repro devlint --format sarif)
+# SARIF logs (repro lint --format sarif, or any other tool's)
 # ----------------------------------------------------------------------
 
 _SARIF_RESULT = {"ruleId": STR, "level": ("none", "note", "warning", "error")}
 
 
 def validate_sarif(data: Any) -> Dict[str, int]:
-    """Validate a SARIF 2.1.0 log as emitted by ``repro lint`` /
-    ``repro devlint --format sarif``: runs carry a tool driver with rule
-    metadata, every result references a known rule with a valid level
-    and message, and locations are well-formed (physical locations need
-    a uri and a positive startLine; logical locations a name)."""
+    """Validate a SARIF 2.1.0 log, such as ``repro lint --format sarif``
+    emits: runs carry a tool driver with rule metadata, every result
+    references a known rule with a valid level and message, and
+    locations are well-formed (physical locations need a uri and a
+    positive startLine; logical locations a name)."""
     _need(isinstance(data, dict), "sarif", "must be an object")
     _need(data.get("version") == "2.1.0", "sarif",
           f"version must be '2.1.0', got {data.get('version')!r}")

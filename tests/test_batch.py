@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.analysis.batch import ANALYSES, BatchReport, analyse_graph, run_batch
@@ -106,16 +108,26 @@ class TestErrorIsolation:
 
 
 class TestCacheIntegration:
-    def test_hit_rate_reported(self, registry_graphs):
+    def test_hit_rate_reported(self, registry_graphs, monkeypatch):
         cache = AnalysisCache()
         cold = run_batch(registry_graphs, cache=cache)
         assert cold.cache_stats.hits == 0
         assert cold.cache_stats.misses == len(registry_graphs)
+
+        def no_analysis(*args, **kwargs):
+            raise AssertionError("the warm pass ran an analysis")
+
+        # The cache computes through this module attribute, so a warm
+        # pass that computed anything would fail that graph.
+        monkeypatch.setattr(sys.modules["repro.analysis.throughput"],
+                            "throughput", no_analysis)
         warm = run_batch(registry_graphs, cache=cache)
+        assert not warm.failures
+        assert ([r.values["throughput"].cycle_time for r in warm.results]
+                == [r.values["throughput"].cycle_time for r in cold.results])
         assert warm.cache_stats.hits == len(registry_graphs)
         assert warm.cache_stats.misses == len(registry_graphs)  # unchanged
         assert warm.hit_rate == 0.5
-        assert warm.duration < cold.duration
 
     def test_duplicate_variants_deduped(self, registry_graphs):
         """Scenario-suite shape: repeated identical variants compute once."""

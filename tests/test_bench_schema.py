@@ -23,7 +23,7 @@ def test_all_expected_baselines_present():
     # end-to-end samples go to the history journal, not to a root file.
     names = {path.name for path in BENCH_FILES}
     assert names == {"BENCH_kernels.json", "BENCH_obs.json",
-                     "BENCH_resilience.json", "BENCH_scenarios.json"}
+                     "BENCH_resilience.json"}
 
 
 @pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)

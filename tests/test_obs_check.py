@@ -295,7 +295,7 @@ def _sarif(**overrides):
             {
                 "tool": {
                     "driver": {
-                        "name": "repro-devlint",
+                        "name": "external-linter",
                         "rules": [
                             {"id": "broad-except"},
                             {"id": "determinism"},
