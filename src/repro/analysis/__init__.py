@@ -25,7 +25,6 @@ from repro.analysis.pareto import (
     explore_buffer_throughput,
     pareto_frontier,
 )
-from repro.analysis.intervals import IntervalThroughput, interval_throughput
 from repro.analysis.sensitivity import SensitivityReport, sensitivity, slack
 from repro.analysis.periodic_schedule import (
     PeriodicSchedule,
@@ -85,8 +84,6 @@ __all__ = [
     "PeriodicSchedule",
     "rate_optimal_schedule",
     "verify_periodic_schedule",
-    "IntervalThroughput",
-    "interval_throughput",
     "SensitivityReport",
     "sensitivity",
     "slack",

@@ -19,15 +19,16 @@ store serve a corrupt or stale result afterwards:
     Every record carries a magic line, a JSON header echoing its own
     key (fingerprint, analysis, canonical params) plus the payload
     length and SHA-256, and then the pickled payload.  A read verifies
-    all of it; the typed result object — provenance certificate and all
-    — comes back exactly as stored.
+    all of it, and accepts the header line only in the writer's own
+    canonical encoding; the typed result object — provenance
+    certificate and all — comes back exactly as stored.
 
 **Quarantine, never trust**
     Torn writes, bit flips, truncations, renamed files and unpicklable
-    payloads are *detected* (checksum/length/key-echo mismatch) and the
-    bad file is atomically moved to ``quarantine/`` — the caller sees a
-    miss and recomputes.  Corruption can cost a recomputation, never a
-    wrong answer.
+    payloads are *detected* (checksum/length/key-echo/header-encoding
+    mismatch) and the bad file is atomically moved to ``quarantine/`` —
+    the caller sees a miss and recomputes.  Corruption can cost a
+    recomputation, never a wrong answer.
 
 **Size budget**
     :meth:`compact` evicts least-recently-used records (by file mtime;
@@ -222,6 +223,17 @@ class _RecordError(ValueError):
     """A record failed structural verification (reason in ``args[0]``)."""
 
 
+def _encode_header(header: Dict[str, Any]) -> bytes:
+    """The header line of a record, in the one encoding readers accept.
+
+    The checksum covers only the payload, and JSON parsing ignores
+    whitespace, so a reader compares the header line byte for byte with
+    this re-encoding: a flipped space (a tab, a carriage return) would
+    otherwise parse to the same header and go unnoticed.
+    """
+    return json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
+
+
 def _decode_record(raw: bytes) -> Tuple[Dict[str, Any], bytes]:
     """Split and verify a record's magic/header/payload (no unpickling).
 
@@ -238,7 +250,7 @@ def _decode_record(raw: bytes) -> Tuple[Dict[str, Any], bytes]:
         header = json.loads(header_line)
     except (json.JSONDecodeError, UnicodeDecodeError):
         raise _RecordError("corrupt-header") from None
-    if not isinstance(header, dict):
+    if not isinstance(header, dict) or _encode_header(header) != header_line:
         raise _RecordError("corrupt-header")
     for key in ("fingerprint", "analysis", "params"):
         if not isinstance(header.get(key), str):
@@ -429,13 +441,13 @@ class ResultStore:
         except (pickle.PicklingError, TypeError, AttributeError):
             self._count("_put_errors")
             return False
-        header = json.dumps({
+        header = _encode_header({
             "fingerprint": fingerprint,
             "analysis": analysis,
             "params": canonical_params(params),
             "payload_len": len(payload),
             "checksum": hashlib.sha256(payload).hexdigest(),
-        }, sort_keys=True).encode("utf-8") + b"\n"
+        })
         tmp = self._tmp_path(digest)
         try:
             with open(tmp, "wb") as handle:

@@ -16,10 +16,6 @@ from repro.core.conservativity import dominates, verify_abstraction
 from repro.core.symbolic import symbolic_iteration, SymbolicIteration, TokenId
 from repro.core.hsdf_conversion import convert_to_hsdf, sdf_to_maxplus_matrix, HsdfConversion
 from repro.core.pruning import prune_redundant_edges
-from repro.core.expansion_abstraction import (
-    conservative_multirate_bound,
-    expansion_abstraction,
-)
 from repro.core.grouping import discover_abstraction
 
 __all__ = [
@@ -35,7 +31,5 @@ __all__ = [
     "sdf_to_maxplus_matrix",
     "HsdfConversion",
     "prune_redundant_edges",
-    "conservative_multirate_bound",
-    "expansion_abstraction",
     "discover_abstraction",
 ]

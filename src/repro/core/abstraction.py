@@ -24,7 +24,7 @@ repetition entries, which Definition 3 demands in all cases).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import NotAbstractableError
 from repro.obs.provenance import record_step
@@ -180,14 +180,3 @@ def abstract_graph(
         groups={k: v for k, v in abstraction.groups().items() if len(v) > 1},
     )
     return result
-
-
-def identity_abstraction(graph: SDFGraph) -> Abstraction:
-    """The trivial abstraction: every actor its own group at phase 0.
-
-    The abstract graph is then the original graph — useful as a sanity
-    anchor in tests and as a starting point for refinement."""
-    return Abstraction(
-        mapping={a: a for a in graph.actor_names},
-        index={a: 0 for a in graph.actor_names},
-    )

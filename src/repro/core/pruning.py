@@ -51,8 +51,3 @@ def prune_redundant_edges(graph: SDFGraph, name: Optional[str] = None) -> SDFGra
         removed_edges=graph.edge_count() - result.edge_count(),
     )
     return result
-
-
-def pruned_edge_count(graph: SDFGraph) -> int:
-    """How many edges :func:`prune_redundant_edges` would remove."""
-    return graph.edge_count() - prune_redundant_edges(graph).edge_count()

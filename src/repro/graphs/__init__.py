@@ -25,7 +25,6 @@ from repro.graphs.multimedia import (
     mp3_decoder_granule_parallel,
     mp3_playback,
 )
-from repro.graphs.csdf_apps import ip_frame_decoder, polyphase_cd2dat
 from repro.graphs.random_sdf import (
     random_consistent_sdf,
     random_live_hsdf,
@@ -48,8 +47,6 @@ __all__ = [
     "mp3_decoder_block_parallel",
     "mp3_decoder_granule_parallel",
     "mp3_playback",
-    "ip_frame_decoder",
-    "polyphase_cd2dat",
     "random_consistent_sdf",
     "random_live_hsdf",
     "random_ratio_graph",

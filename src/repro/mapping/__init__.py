@@ -24,11 +24,6 @@ from repro.mapping.binding import (
     processor_utilisation,
 )
 from repro.mapping.explore import greedy_load_balance, sweep_processor_counts
-from repro.mapping.communication import (
-    bind_with_communication,
-    communication_mapping,
-    insert_communication,
-)
 
 __all__ = [
     "Mapping",
@@ -37,7 +32,4 @@ __all__ = [
     "processor_utilisation",
     "greedy_load_balance",
     "sweep_processor_counts",
-    "bind_with_communication",
-    "communication_mapping",
-    "insert_communication",
 ]

@@ -9,7 +9,7 @@ inverse of the matrix's eigenvalue.
 
 from repro.maxplus.algebra import EPSILON, is_epsilon, mp_plus, mp_max, mp_times_int
 from repro.maxplus.matrix import MaxPlusMatrix, MaxPlusVector
-from repro.maxplus.spectral import eigenvalue, cycle_time, power_iteration_cycle_time
+from repro.maxplus.spectral import eigenvalue, cycle_time
 from repro.maxplus.recurrence import (
     Recurrence,
     cycle_time_vector,
@@ -27,7 +27,6 @@ __all__ = [
     "MaxPlusVector",
     "eigenvalue",
     "cycle_time",
-    "power_iteration_cycle_time",
     "Recurrence",
     "cycle_time_vector",
     "eigenvector",

@@ -14,7 +14,6 @@ than ε itself.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from numbers import Rational
 
 #: The max-plus zero element ε = -infinity.
@@ -72,15 +71,3 @@ def mp_times_int(a, n: int):
     if a == EPSILON:
         return EPSILON if n > 0 else 0
     return a * n
-
-
-def mp_sum(values):
-    """Max-plus addition over an iterable (maximum, ε when empty)."""
-    return mp_max(*values)
-
-
-def as_fraction(x):
-    """Convert a finite max-plus scalar to :class:`Fraction`; ε passes through."""
-    if x == EPSILON:
-        return EPSILON
-    return Fraction(x)

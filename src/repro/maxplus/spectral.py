@@ -20,9 +20,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from repro.errors import ConvergenceError
 from repro.maxplus.algebra import EPSILON
-from repro.maxplus.matrix import MaxPlusMatrix, MaxPlusVector
+from repro.maxplus.matrix import MaxPlusMatrix
 from repro.mcm.graphlib import RatioGraph
 from repro.mcm.karp import karp_mcm
 
@@ -111,46 +110,3 @@ def cycle_time(matrix: MaxPlusMatrix, deadline=None) -> Fraction:
     """
     value = eigenvalue(matrix, deadline=deadline)
     return Fraction(0) if value is None else value
-
-
-def power_iteration_cycle_time(
-    matrix: MaxPlusMatrix,
-    start: Optional[MaxPlusVector] = None,
-    max_steps: int = 100_000,
-    deadline=None,
-) -> Fraction:
-    """Cycle time via the max-plus power method (cross-check for Karp).
-
-    Iterates ``x ← M ⊗ x`` and detects periodicity of the *normalised*
-    vector: when ``x(k+c)`` equals ``x(k)`` up to an additive constant δ,
-    the cycle time is ``δ/c`` (the cyclicity theorem guarantees this for
-    irreducible matrices).  Raises :class:`ConvergenceError` when no
-    period appears within ``max_steps`` — which can genuinely happen for
-    reducible matrices whose components run at different speeds.
-    """
-    if matrix.nrows != matrix.ncols:
-        raise ValueError("power iteration requires a square matrix")
-    x = start if start is not None else MaxPlusVector.zeros(matrix.nrows)
-    seen: dict = {}
-    progress = (
-        deadline.checkpoint("power-iteration", {"step": 0, "max_steps": max_steps})
-        if deadline is not None
-        else None
-    )
-    for step in range(max_steps):
-        if deadline is not None:
-            progress["step"] = step
-            deadline.check()
-        norm = x.norm()
-        key = x.normalised()
-        if key in seen:
-            prev_step, prev_norm = seen[key]
-            if norm == EPSILON or prev_norm == EPSILON:
-                return Fraction(0)
-            return Fraction(norm - prev_norm, step - prev_step)
-        seen[key] = (step, norm)
-        x = matrix.apply(x)
-    raise ConvergenceError(
-        f"max-plus power iteration found no period within {max_steps} steps "
-        "(matrix may be reducible with rate-mismatched components)"
-    )

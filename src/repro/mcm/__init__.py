@@ -7,26 +7,19 @@ cycle *mean* of its precedence graph.  These solvers are the paper's
 analysis back-end; reference [5] of the paper (Dasdan, Irani, Gupta,
 DAC'99) surveys the algorithm family implemented here.
 
-Solvers provided (all exact, over rational weights):
+One exact solver (over rational weights) per job:
 
 * :func:`repro.mcm.karp.karp_mcm` — Karp's dynamic program, O(nm),
-  transit times ≡ 1;
+  transit times ≡ 1: the iteration matrix's eigenvalue
+  (``kernel="exact"`` and the numpy kernel's fallback);
 * :func:`repro.mcm.howard.howard_mcr` — Howard's policy iteration,
-  fast in practice, general transit times;
-* :func:`repro.mcm.lawler.lawler_mcr` — Lawler's binary search with a
-  Bellman-Ford feasibility oracle, general transit times;
-* :func:`repro.mcm.yto.yto_mcm` — Young-Tarjan-Orlin-style parametric
-  search, transit times ≡ 1;
-* :func:`repro.mcm.brute.brute_force_mcr` — cycle enumeration, the test
-  oracle for small graphs.
+  fast in practice, general transit times: the cycle ratio of the
+  classical HSDF expansion (``method="hsdf"``).
 """
 
 from repro.mcm.graphlib import RatioGraph, RatioEdge, CycleRatioResult, ZeroTransitCycleError
 from repro.mcm.karp import karp_mcm
 from repro.mcm.howard import howard_mcr
-from repro.mcm.lawler import lawler_mcr
-from repro.mcm.brute import brute_force_mcr
-from repro.mcm.yto import yto_mcm
 
 __all__ = [
     "RatioGraph",
@@ -35,7 +28,4 @@ __all__ = [
     "ZeroTransitCycleError",
     "karp_mcm",
     "howard_mcr",
-    "lawler_mcr",
-    "brute_force_mcr",
-    "yto_mcm",
 ]

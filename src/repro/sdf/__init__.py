@@ -13,7 +13,6 @@ from repro.sdf.repetition import repetition_vector, is_consistent, iteration_len
 from repro.sdf.schedule import block_schedule, sequential_schedule, is_live
 from repro.sdf.simulation import SelfTimedSimulation, simulation_throughput
 from repro.sdf.transform import traditional_hsdf
-from repro.sdf.compose import disjoint_union, feedback, renamed, serial
 from repro.sdf.dot import to_dot
 from repro.sdf.gantt import gantt
 
@@ -30,10 +29,6 @@ __all__ = [
     "SelfTimedSimulation",
     "simulation_throughput",
     "traditional_hsdf",
-    "disjoint_union",
-    "feedback",
-    "renamed",
-    "serial",
     "to_dot",
     "gantt",
 ]

@@ -3,13 +3,12 @@
 Renders the visual conventions of the paper's figures: circles for
 actors (labelled with execution times), edge labels ``p/c`` for rates
 (omitted when homogeneous), and one dot per initial token drawn as
-``•``-runs on the edge label.  Abstraction groupings can be rendered as
-Graphviz clusters to visualise a planned reduction before applying it.
+``•``-runs on the edge label.
 """
 
 from __future__ import annotations
 
-from typing import Collection, Dict, Optional
+from typing import Collection, Optional
 
 from repro.sdf.graph import SDFGraph
 
@@ -33,74 +32,32 @@ def _edge_label(edge, homogeneous: bool) -> str:
     return " ".join(parts)
 
 
-def conversion_to_dot(conversion) -> str:
-    """Render a compact-HSDF conversion with the Figure-4 roles as clusters.
-
-    Matrix actors, multiplexers, demultiplexers and observers each get
-    their own cluster, making the paper's structure visible at a glance.
-    ``conversion`` is a :class:`repro.core.hsdf_conversion.HsdfConversion`.
-    """
-    groups = {}
-    for actor in conversion.graph.actor_names:
-        if actor.startswith("g_"):
-            groups[actor] = "matrix"
-        elif actor.startswith("mux_"):
-            groups[actor] = "multiplexers"
-        elif actor.startswith("dmx_"):
-            groups[actor] = "demultiplexers"
-        elif actor.startswith(("obs_", "obsg_")):
-            groups[actor] = "observers"
-        else:
-            groups[actor] = actor
-    return to_dot(conversion.graph, groups=groups)
-
-
 def to_dot(
     graph: SDFGraph,
-    groups: Optional[Dict[str, str]] = None,
-    rankdir: str = "LR",
     highlight_actors: Optional[Collection[str]] = None,
     highlight_edges: Optional[Collection] = None,
 ) -> str:
     """Render ``graph`` as a DOT digraph.
 
-    ``groups`` (actor → group name, e.g. an :class:`Abstraction`'s
-    ``mapping``) draws each group as a cluster.  ``highlight_actors``
-    and ``highlight_edges`` mark a critical cycle: named actors, plus
-    edges matched either by edge name or by ``(source, target)`` pair,
-    are drawn bold and coloured.  The output needs no Graphviz at build
-    time — it is plain text for later rendering.
+    ``highlight_actors`` and ``highlight_edges`` mark a critical cycle:
+    named actors, plus edges matched either by edge name or by
+    ``(source, target)`` pair, are drawn bold and coloured.  The output
+    needs no Graphviz at build time — it is plain text for later
+    rendering.
     """
     homogeneous = graph.is_homogeneous()
     hi_actors = set(highlight_actors or ())
     hi_edges = set(highlight_edges or ())
     lines = [f'digraph "{_escape(graph.name)}" {{']
-    lines.append(f"  rankdir={rankdir};")
+    lines.append("  rankdir=LR;")
     lines.append('  node [shape=circle, fontsize=11];')
 
-    def actor_line(actor) -> str:
+    for actor in graph.actors:
         label = f"{_escape(actor.name)}\\n{actor.execution_time}"
         attrs = f'label="{label}"'
         if actor.name in hi_actors:
             attrs += f', color="{_HIGHLIGHT}", penwidth=2.5, fontcolor="{_HIGHLIGHT}"'
-        return f'  "{_escape(actor.name)}" [{attrs}];'
-
-    if groups:
-        by_group: Dict[str, list] = {}
-        for actor in graph.actors:
-            by_group.setdefault(groups.get(actor.name, actor.name), []).append(actor)
-        for i, (group, members) in enumerate(sorted(by_group.items())):
-            if len(members) == 1 and members[0].name == group:
-                lines.append(actor_line(members[0]))
-                continue
-            lines.append(f'  subgraph "cluster_{i}" {{')
-            lines.append(f'    label="{_escape(group)}";')
-            for actor in members:
-                lines.append("  " + actor_line(actor))
-            lines.append("  }")
-    else:
-        for actor in graph.actors:
-            lines.append(actor_line(actor))
+        lines.append(f'  "{_escape(actor.name)}" [{attrs}];')
 
     for edge in graph.edges:
         label = _edge_label(edge, homogeneous)

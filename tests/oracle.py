@@ -14,6 +14,11 @@ the registry-wide and property-based suites in ``test_kernel_oracle.py``.
 :func:`assert_hsdf_runs_exact` checks every ``kernel=`` value against
 ``method="symbolic"`` instead.
 
+The cycle-ratio solvers have two references: :func:`brute_force_mcr`,
+which enumerates every simple cycle of a small graph, and
+:func:`assert_optimal_mcr`, an optimality certificate for graphs too
+large to enumerate.
+
 The front end has references of its own, used by
 ``test_front_end_oracle.py``: :func:`reference_repetition_vector`, the
 balance-equation solver over :class:`~fractions.Fraction` ratios, and
@@ -26,7 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.analysis.throughput import throughput
 from repro.core.hsdf_conversion import (
@@ -39,6 +44,12 @@ from repro.core.symbolic import symbolic_iteration
 from repro.errors import InconsistentGraphError, ReproError, ValidationError
 from repro.kernels import KERNELS
 from repro.maxplus.algebra import EPSILON
+from repro.mcm.graphlib import (
+    CycleRatioResult,
+    RatioEdge,
+    RatioGraph,
+    ZeroTransitCycleError,
+)
 from repro.obs.metrics import MetricsRegistry, set_default_registry
 from repro.obs.provenance import verify_witness
 from repro.sdf.graph import SDFGraph
@@ -190,6 +201,92 @@ def assert_symbolic_engines_agree(graph, **kwargs):
     assert (list(numpy_iteration.firing_completions.items())
             == list(exact_iteration.firing_completions.items()))
     return numpy_iteration
+
+
+# ----------------------------------------------------------------------
+# cycle-ratio references
+# ----------------------------------------------------------------------
+
+def simple_cycles(graph: RatioGraph) -> Iterator[List[RatioEdge]]:
+    """Enumerate all simple cycles (as edge lists), multi-edges included.
+
+    Each cycle is rooted at its smallest node in insertion order and only
+    visits larger nodes, so every simple cycle is produced exactly once
+    (up to rotation); parallel edges yield distinct cycles.
+    """
+    order = {node: i for i, node in enumerate(graph.nodes)}
+
+    def dfs(root, node, path_edges, visited):
+        for e in graph.out_edges(node):
+            target = e.target
+            if target == root:
+                yield path_edges + [e]
+            elif order[target] > order[root] and target not in visited:
+                visited.add(target)
+                yield from dfs(root, target, path_edges + [e], visited)
+                visited.remove(target)
+
+    for root in graph.nodes:
+        yield from dfs(root, root, [], {root})
+
+
+def brute_force_mcr(graph: RatioGraph, max_cycles: int = 2_000_000) -> CycleRatioResult:
+    """Maximum cycle ratio by exhaustive enumeration (small graphs only).
+
+    Raises :class:`ZeroTransitCycleError` if any cycle is token-free and
+    :class:`RuntimeError` if more than ``max_cycles`` cycles are visited.
+    """
+    best: Optional[Fraction] = None
+    best_cycle = None
+    count = 0
+    for cycle in simple_cycles(graph):
+        count += 1
+        if count > max_cycles:
+            raise RuntimeError(f"more than {max_cycles} simple cycles; graph too large")
+        transit = sum(e.transit for e in cycle)
+        if transit == 0:
+            raise ZeroTransitCycleError(cycle)
+        ratio = Fraction(sum(e.weight for e in cycle), transit)
+        if best is None or ratio > best:
+            best = ratio
+            best_cycle = cycle
+    return CycleRatioResult(best, best_cycle).check()
+
+
+def no_cycle_exceeds(graph: RatioGraph, bound: Fraction) -> bool:
+    """True when no cycle of ``graph`` has a ratio above ``bound``.
+
+    Longest paths under ``weight - bound * transit`` from a virtual
+    source settle within ``n`` rounds of relaxation exactly when no
+    cycle has a positive reduced weight, that is, a ratio above
+    ``bound`` (or a token-free cycle of positive weight).
+    """
+    potential = {node: Fraction(0) for node in graph.nodes}
+    for _ in range(graph.node_count()):
+        changed = False
+        for e in graph.edges:
+            reached = potential[e.source] + e.weight - bound * e.transit
+            if reached > potential[e.target]:
+                potential[e.target] = reached
+                changed = True
+        if not changed:
+            return True
+    return False
+
+
+def assert_optimal_mcr(graph: RatioGraph, result: CycleRatioResult) -> None:
+    """Assert that ``result`` is the maximum cycle ratio of ``graph``: its
+    cycle is a closed walk over edges of ``graph`` that achieves
+    ``result.value``, and no cycle exceeds that value."""
+    if result.value is None:
+        assert not graph.has_cycle()
+        return
+    cycle = result.check().cycle
+    assert cycle, "a finite ratio needs a witnessing cycle"
+    edges = set(graph.edges)
+    for edge, successor in zip(cycle, cycle[1:] + cycle[:1]):
+        assert edge in edges and edge.target == successor.source
+    assert no_cycle_exceeds(graph, result.value)
 
 
 # ----------------------------------------------------------------------

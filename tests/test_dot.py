@@ -1,7 +1,6 @@
 """DOT export."""
 
-from repro.graphs.examples import figure3_graph, section41_example
-from repro.graphs.synthetic import regular_prefetch_abstraction
+from repro.graphs.examples import figure3_graph
 from repro.sdf.dot import to_dot
 from repro.sdf.graph import SDFGraph
 
@@ -31,39 +30,8 @@ class TestDot:
         dot = to_dot(figure3_graph())
         assert "2/1" in dot
 
-    def test_groups_render_as_clusters(self):
-        g = section41_example()
-        ab = regular_prefetch_abstraction(6)
-        dot = to_dot(g, groups=dict(ab.mapping))
-        assert "subgraph" in dot and 'label="A"' in dot and 'label="B"' in dot
-
-    def test_singleton_groups_not_clustered(self, simple_ring):
-        dot = to_dot(simple_ring, groups={a: a for a in simple_ring.actor_names})
-        assert "subgraph" not in dot
-
     def test_quotes_escaped(self):
         g = SDFGraph('has"quote')
         g.add_actor("a")
         dot = to_dot(g)
         assert 'digraph "has\\"quote"' in dot
-
-    def test_rankdir(self, simple_ring):
-        assert "rankdir=TB;" in to_dot(simple_ring, rankdir="TB")
-
-
-class TestConversionDot:
-    def test_figure4_roles_clustered(self):
-        from repro.core.hsdf_conversion import convert_to_hsdf
-        from repro.sdf.dot import conversion_to_dot
-
-        conv = convert_to_hsdf(figure3_graph())
-        dot = conversion_to_dot(conv)
-        assert 'label="matrix"' in dot
-        assert 'label="multiplexers"' in dot or 'label="demultiplexers"' in dot
-
-    def test_observers_clustered(self):
-        from repro.core.hsdf_conversion import convert_to_hsdf
-        from repro.sdf.dot import conversion_to_dot
-
-        conv = convert_to_hsdf(figure3_graph(), observe=[("R", 0)])
-        assert 'label="observers"' in conversion_to_dot(conv)

@@ -1,6 +1,5 @@
 """Unit tests for the max-plus scalar layer."""
 
-import math
 from fractions import Fraction
 
 import pytest
@@ -9,12 +8,10 @@ from hypothesis import strategies as st
 
 from repro.maxplus.algebra import (
     EPSILON,
-    as_fraction,
     check_scalar,
     is_epsilon,
     mp_max,
     mp_plus,
-    mp_sum,
     mp_times_int,
 )
 
@@ -44,7 +41,6 @@ class TestEpsilon:
         assert mp_max(EPSILON, 5) == 5
         assert mp_max(EPSILON, Fraction(-7, 2)) == Fraction(-7, 2)
         assert mp_max() == EPSILON
-        assert mp_sum([]) == EPSILON
 
 
 class TestScalarOps:
@@ -99,7 +95,3 @@ class TestValidation:
     def test_check_scalar_rejects_strings(self):
         with pytest.raises(TypeError):
             check_scalar("3")
-
-    def test_as_fraction(self):
-        assert as_fraction(3) == Fraction(3)
-        assert as_fraction(EPSILON) == EPSILON

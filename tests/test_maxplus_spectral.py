@@ -5,18 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from repro.errors import ConvergenceError
+from oracle import brute_force_mcr
+
 from repro.maxplus.algebra import EPSILON
-from repro.maxplus.matrix import MaxPlusMatrix, MaxPlusVector
+from repro.maxplus.matrix import MaxPlusMatrix
 from repro.maxplus.spectral import (
     critical_cycle,
     critical_indices,
     cycle_time,
     eigenvalue,
-    power_iteration_cycle_time,
     precedence_graph,
 )
-from repro.mcm.brute import brute_force_mcr
 
 
 def random_irreducible(rng, size, max_weight=12):
@@ -104,29 +103,3 @@ class TestNumpyKernel:
     def test_requires_square(self):
         with pytest.raises(ValueError, match="square"):
             eigenvalue(MaxPlusMatrix([[1, 2]]), kernel="numpy")
-
-
-class TestPowerIteration:
-    @pytest.mark.parametrize("seed", range(15))
-    def test_matches_karp_on_irreducible(self, seed):
-        rng = random.Random(100 + seed)
-        m = random_irreducible(rng, rng.randint(1, 6))
-        assert power_iteration_cycle_time(m) == eigenvalue(m)
-
-    def test_periodic_with_cyclicity_two(self):
-        # A 2-cycle has cyclicity 2; the power method must still settle.
-        m = MaxPlusMatrix([[EPSILON, 3], [5, EPSILON]])
-        assert power_iteration_cycle_time(m) == 4
-
-    def test_diverges_on_rate_mismatched_reducible(self):
-        m = MaxPlusMatrix([[1, EPSILON], [EPSILON, 2]])
-        with pytest.raises(ConvergenceError):
-            power_iteration_cycle_time(m, max_steps=200)
-
-    def test_custom_start_vector(self):
-        m = MaxPlusMatrix([[2]])
-        assert power_iteration_cycle_time(m, start=MaxPlusVector([100])) == 2
-
-    def test_requires_square(self):
-        with pytest.raises(ValueError):
-            power_iteration_cycle_time(MaxPlusMatrix([[1, 2]]))

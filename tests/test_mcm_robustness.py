@@ -5,15 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from repro.graphs.random_sdf import random_ratio_graph
-from repro.mcm import (
-    RatioGraph,
-    brute_force_mcr,
-    howard_mcr,
-    karp_mcm,
-    lawler_mcr,
-    yto_mcm,
-)
+from oracle import brute_force_mcr
+
+from repro.mcm import RatioGraph, howard_mcr, karp_mcm
 
 
 class TestFractionalWeights:
@@ -33,7 +27,6 @@ class TestFractionalWeights:
             g.add_edge(a, b, weight, transit)
         expected = brute_force_mcr(g).value
         assert howard_mcr(g).value == expected
-        assert lawler_mcr(g).value == expected
 
     @pytest.mark.parametrize("seed", range(10))
     def test_mean_solvers_on_fractional_weights(self, seed):
@@ -49,7 +42,6 @@ class TestFractionalWeights:
             )
         expected = brute_force_mcr(g).value
         assert karp_mcm(g).value == expected
-        assert yto_mcm(g).value == expected
 
 
 class TestStructuralStress:
@@ -64,7 +56,6 @@ class TestStructuralStress:
             g.add_edge(i, (i + 1) % n, w, 1 if i == 0 else 0)
         expected = Fraction(total, 1)
         assert howard_mcr(g).value == expected
-        assert lawler_mcr(g).value == expected
 
     def test_many_disjoint_cycles(self):
         g = RatioGraph()
@@ -73,7 +64,6 @@ class TestStructuralStress:
             g.add_edge(("b", i), ("a", i), i, 1)
         assert howard_mcr(g).value == 149
         assert karp_mcm(g).value == 149
-        assert yto_mcm(g).value == 149
 
     def test_dense_small_graph(self):
         g = RatioGraph()
@@ -82,7 +72,7 @@ class TestStructuralStress:
             for b in range(n):
                 g.add_edge(a, b, (a * n + b) % 11, 1)
         expected = brute_force_mcr(g).value
-        for solver in (karp_mcm, yto_mcm, howard_mcr, lawler_mcr):
+        for solver in (karp_mcm, howard_mcr):
             assert solver(g).value == expected
 
     def test_howard_iteration_cap(self):
@@ -97,4 +87,3 @@ class TestStructuralStress:
             g.add_edge(i, i, i, 1 + (i % 3))
         # max over i of i/(1 + i%3): i=28 -> 28/2=14, i=27->27/1=27, i=29->29/3
         assert howard_mcr(g).value == 27
-        assert lawler_mcr(g).value == 27

@@ -1,10 +1,8 @@
 """Redundant parallel-edge pruning (Section 4.2)."""
 
-import pytest
-
 from repro.analysis.throughput import throughput
 from repro.core.abstraction import abstract_graph
-from repro.core.pruning import prune_redundant_edges, pruned_edge_count
+from repro.core.pruning import prune_redundant_edges
 from repro.graphs.examples import (
     figure2_abstraction,
     figure2_graph,
@@ -18,7 +16,6 @@ class TestBasics:
     def test_no_parallel_edges_is_identity(self, simple_ring):
         pruned = prune_redundant_edges(simple_ring)
         assert pruned.structurally_equal(simple_ring)
-        assert pruned_edge_count(simple_ring) == 0
 
     def test_keeps_minimum_token_edge(self):
         g = SDFGraph()

@@ -4,7 +4,7 @@ The library's answers are exact Fractions with re-checkable witnesses,
 its analyses stop at cooperative deadlines, its reductions leave a
 provenance record, its shared caches take their locks and its result
 store publishes crash-consistently.  No type checker sees any of that,
-so this module parses every ``src/repro/**/*.py`` once and checks nine
+so this module parses every ``src/repro/**/*.py`` once and checks ten
 contracts on the trees:
 
 * ``exactness-discipline``: no ``float()`` and no float literal in
@@ -31,7 +31,10 @@ contracts on the trees:
   and never call ``write_text``/``write_bytes``;
 * ``broad-except``: no ``except Exception``/``BaseException``/bare
   ``except``, which would swallow ``AnalysisTimeout`` and bugs alike;
-* ``mutable-default``: no list, dict or set default arguments.
+* ``mutable-default``: no list, dict or set default arguments;
+* ``test-only-module``: every module is imported by another library
+  file or by ``perfbench/`` or ``examples/`` (``USER_DIRS``), not only
+  by its own package ``__init__``, ``tests/`` or ``benchmarks/``.
 
 Every check is a flow-insensitive approximation.  A finding that is
 meant carries an ``EXEMPT`` entry keyed by (rule, file, function), the
@@ -54,6 +57,7 @@ import pytest
 import repro
 
 ROOT = pathlib.Path(repro.__file__).resolve().parent
+REPO = pathlib.Path(__file__).resolve().parent.parent
 
 #: Which files a contract covers, relative to ``src/repro``: a pattern
 #: ending in ``/`` names a package, any other one file.
@@ -63,6 +67,10 @@ HOT_MODULES = ("core/", "mcm/", "maxplus/", "kernels/", "sdf/simulation.py")
 DETERMINISTIC_MODULES = ("core/", "mcm/", "maxplus/", "sdf/", "analysis/",
                          "kernels/", "lint/")
 DURABLE_MODULES = ("analysis/store.py",)
+#: Directories of the repository whose imports count as uses of a
+#: library module.  ``tests/`` and ``benchmarks/`` are not among them:
+#: a module that only they import is code that only its own tests run.
+USER_DIRS = ("perfbench", "examples")
 
 #: (rule, file, function) -> why the contract does not hold there.
 EXEMPT = {
@@ -79,8 +87,11 @@ EXEMPT = {
     ("provenance-hygiene", "core/hsdf_conversion.py",
      "realise_iteration_matrix"):
         "a reusable construction, not an entry point: its callers "
-        "(convert_to_hsdf, the CSDF and mapping wrappers) record the step "
+        "(convert_to_hsdf, the CSDF wrapper, perfbench) record the step "
         "with the source model they know",
+    ("test-only-module", "__main__.py", "<module>"):
+        "the `python -m repro` entry point: the interpreter runs it as a "
+        "script, so no file imports it",
 }
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -593,6 +604,85 @@ def mutable_default(source: Source) -> Iterator[Finding]:
                                      "across calls")
 
 
+# -- test-only modules ------------------------------------------------------
+
+def _module_name(path: str) -> str:
+    """``mcm/karp.py`` -> ``repro.mcm.karp``; ``mcm/__init__.py`` ->
+    ``repro.mcm``."""
+    parts = ["repro", *path[:-len(".py")].split("/")]
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _imports(tree: ast.AST, package: Optional[str]
+             ) -> Iterator[Tuple[str, Optional[str], str]]:
+    """``(module, name, bound name)`` for every import in ``tree``, lazy
+    ones inside functions included; ``name`` is ``None`` for ``import
+    module``.  Relative imports resolve against ``package``, and are
+    skipped outside the library (``package`` is ``None``)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, None, alias.asname or alias.name
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                if package is None:
+                    continue
+                anchor = package.rsplit(".", node.level - 1)[0]
+                module = f"{anchor}.{module}" if module else anchor
+            for alias in node.names:
+                yield module, alias.name, alias.asname or alias.name
+
+
+def unimported_modules(package: Mapping[str, str], users: Mapping[str, str]
+                      ) -> List[Finding]:
+    """The modules of ``package`` ({path under ``src/repro``: text}) that
+    no other library file and no file of ``users`` imports.
+
+    ``from P import name`` uses ``P.name`` when that is a module, else
+    ``P`` and, through ``P``'s ``__init__``, the module it re-exports
+    ``name`` from.  A package ``__init__`` re-exporting its own module is
+    not a use.  Package ``__init__`` files are not judged themselves.
+    """
+    modules = {_module_name(path): path for path in package}
+    parsed = [(path, ast.parse(text, path), _module_name(path))
+              for path, text in sorted(package.items())]
+    parsed += [(path, ast.parse(text, path), None)
+               for path, text in sorted(users.items())]
+
+    def anchor(path: str, name: Optional[str]) -> Optional[str]:
+        if name is None or path.endswith("__init__.py"):
+            return name
+        return name.rpartition(".")[0]
+
+    reexports: Dict[Tuple[str, str], Tuple[str, str]] = {}
+    for path, tree, name in parsed:
+        if name is not None and path.endswith("__init__.py"):
+            for module, imported, bound in _imports(tree, name):
+                if imported is not None:
+                    reexports[(name, bound)] = (module, imported)
+
+    def targets(module: str, name: Optional[str]) -> Iterator[str]:
+        if name is not None and f"{module}.{name}" in modules:
+            yield f"{module}.{name}"
+        elif module in modules:
+            yield module
+            if (module, name) in reexports:
+                yield from targets(*reexports[(module, name)])
+
+    used: Set[str] = set()
+    for path, tree, name in parsed:
+        own = name if path.endswith("__init__.py") else None
+        for module, imported, _ in _imports(tree, anchor(path, name)):
+            used.update(target for target in targets(module, imported)
+                        if target.rpartition(".")[0] != own)
+    return [Finding("test-only-module", path, 1, "<module>", f"no library, "
+                    f"{' or '.join(USER_DIRS)} file imports {name}: only "
+                    "tests run it, so delete it or move it into tests/")
+            for name, path in sorted(modules.items())
+            if name not in used and not path.endswith("__init__.py")]
+
+
 CHECKS = (exactness_discipline, fraction_float_mixing, deadline_polling,
           lock_discipline, determinism, durability_discipline, broad_except,
           mutable_default)
@@ -619,8 +709,12 @@ def unexcused(findings: List[Finding]) -> List[Finding]:
 
 @pytest.fixture(scope="module")
 def tree_findings() -> List[Finding]:
-    return scan({path.relative_to(ROOT).as_posix(): path.read_text()
-                 for path in sorted(ROOT.rglob("*.py"))})
+    package = {path.relative_to(ROOT).as_posix(): path.read_text()
+               for path in sorted(ROOT.rglob("*.py"))}
+    users = {path.relative_to(REPO).as_posix(): path.read_text()
+             for directory in USER_DIRS
+             for path in sorted((REPO / directory).rglob("*.py"))}
+    return scan(package) + unimported_modules(package, users)
 
 
 def test_source_tree_keeps_every_contract(tree_findings):
@@ -699,6 +793,24 @@ def test_recording_closure_crosses_files():
     assert [f.line for f in scan(files)] == [4]
     files["core/steps.py"] = textwrap.dedent(helper)
     assert scan(files) == []
+
+
+def test_imports_that_count_as_uses():
+    """A direct import, a name that the package ``__init__`` re-exports
+    and a lazy relative import each use their module; the package's own
+    re-export alone does not."""
+    package = {
+        "mcm/__init__.py": "from repro.mcm.engine import solve\n"
+                           "from repro.mcm.spare import spare\n",
+        "mcm/engine.py": "", "mcm/spare.py": "", "mcm/lazy.py": "",
+        "mcm/direct.py": "",
+        "analysis/run.py": "from repro.mcm import solve\n\n"
+                           "def run():\n    from ..mcm import lazy\n",
+    }
+    users = {"examples/demo.py": "import repro.mcm.direct\n"
+                                 "from repro.analysis.run import run\n"}
+    assert [f.file for f in unimported_modules(package, users)] \
+        == ["mcm/spare.py"]
 
 
 # -- detection: (id, rule, file, snippet, lines the rule flags) -------------

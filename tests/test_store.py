@@ -26,7 +26,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.cache import AnalysisCache
@@ -179,11 +179,31 @@ class TestCorruptionDetection:
             "params": canonical_params(None),
             "payload_len": len(payload),
             "checksum": hashlib.sha256(payload).hexdigest(),
-        }).encode() + b"\n"
+        }, sort_keys=True).encode() + b"\n"
         path = store._record_path(key_digest("fp", "x"))
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(b"repro-store-v1\n" + header + payload)
         assert store.get("fp", "x") == ("quarantined", None)
+        assert [p.name.split(".")[1] for p in
+                (tmp_path / "quarantine").iterdir()] == ["unpicklable-payload"]
+
+    def test_whitespace_flip_in_header_is_quarantined(self, tmp_path):
+        """The checksum covers only the payload, and a space turned into a
+        tab or a carriage return still parses to the same header: the
+        readers must refuse any header that is not the writer's bytes."""
+        store, graph, _ = _populated(tmp_path)
+        path = _record_file(store, graph)
+        original = path.read_bytes()
+        header_end = original.index(b"\n", len(b"repro-store-v1\n"))
+        spaces = [i for i in range(header_end) if original[i:i + 1] == b" "]
+        assert spaces
+        for index in spaces:
+            for blank in (b"\t", b"\r"):
+                path.write_bytes(original[:index] + blank
+                                 + original[index + 1:])
+                assert store.verify(quarantine=False).valid == 0
+                assert store.get(graph.fingerprint(), "throughput",
+                                 params=PARAMS) == ("quarantined", None)
 
     def test_verify_without_quarantine_reports_undetected(self, tmp_path):
         store, graph, _ = _populated(tmp_path)
@@ -225,6 +245,8 @@ class TestCorruptionProperty:
         position=st.integers(min_value=0, max_value=1 << 16),
         value=st.integers(min_value=0, max_value=255),
     )
+    # A header space flipped to a tab: same JSON, different bytes.
+    @example(kind="flip", position=41, value=41)
     def test_no_corruption_yields_a_wrong_result(self, kind, position, value):
         """Byte-flip/truncate/garbage/delete a record → the store serves
         the original exact value or nothing; a republish always
